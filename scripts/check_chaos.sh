@@ -2,10 +2,12 @@
 # Serving-path chaos gate: drives the registry through overload and
 # injected faults and asserts the resilience invariants hold.
 #
-# Part 1 — bench_loadgen --chaos=1: open-loop Poisson load at 1.5x the
-# box's calibrated capacity with per-request deadlines, first fault-free
-# (the overload baseline), then with slow-infer and poison-output faults
+# Part 1 — bench_loadgen: open-loop Poisson load at 1.5x the box's
+# calibrated capacity with per-request deadlines, first fault-free (the
+# overload baseline), then with slow-infer and poison-output faults
 # injected mid-run. The binary exits non-zero unless:
+#   - the no-fault phase trips no circuit breaker and produces no
+#     non-finite forecast,
 #   - the per-model circuit breaker trips on the poisoned forecasts and
 #     recovers to closed via half-open probes once the faults clear,
 #   - zero requests execute past their deadline (batcher invariant
@@ -62,9 +64,9 @@ FLOOR_PCT="${LIPF_CHAOS_GOODPUT_FLOOR_PCT:-85}"
 
 echo "== chaos part 1: bench_loadgen overload + fault injection" \
      "(duration ${DURATION_MS}ms/phase, goodput floor ${FLOOR_PCT}%)"
-"${LOADGEN}" --chaos=1 --chaos-duration-ms="${DURATION_MS}" \
+"${LOADGEN}" --chaos-duration-ms="${DURATION_MS}" \
   --chaos-goodput-floor-pct="${FLOOR_PCT}" --json="${WORK}/chaos.json" \
-  || fail "bench_loadgen --chaos=1 reported violations"
+  || fail "bench_loadgen reported violations"
 grep -q '"breaker_state": "closed"' "${WORK}/chaos.json" \
   || fail "chaos JSON does not record a closed breaker"
 
@@ -166,9 +168,19 @@ PIPE_PID=$!
 exec 4>"${WORK}/req2.fifo"
 printf 'm|%s\n' "${REQ}" >&4
 # head exits after the first answer, breaking the server's stdout; the
-# next answers hit EPIPE, which must trigger a drain, not a SIGPIPE kill.
-for _ in 1 2 3; do printf 'm|%s\n' "${REQ}" >&4; done
-wait_for 30 grep -q "client closed the answer stream" "${WORK}/epipe.log" \
+# first answer written after that hits EPIPE, which must trigger a drain,
+# not a SIGPIPE kill. Answers written before head exits still fit in the
+# pipe, so keep sending (at most 20 requests, well inside the FIFO's
+# buffer) until the server reports the closed stream.
+epipe_seen() { grep -q "client closed the answer stream" "${WORK}/epipe.log"; }
+for _ in $(seq 20); do
+  epipe_seen && break
+  # In a subshell: a write racing the server's exit gets SIGPIPE, which
+  # must not kill this script.
+  ( printf 'm|%s\n' "${REQ}" >&4 ) 2>/dev/null || true
+  sleep 0.25
+done
+wait_for 30 epipe_seen \
   || { cat "${WORK}/epipe.log" >&2; fail "server never detected EPIPE"; }
 exec 4>&-
 wait "${PIPE_PID}" || true

@@ -9,12 +9,16 @@
 # suite also covers every registered model's plan, including the
 # data-dependent kIndexSelect / kProbSparseMask / kTimeDelayAggregate
 # kernels (PlanInventoryTest.EveryRegisteredModelServesFromAPlan), the
-# fusion pass (PlanTest.FusionFiresOnDefaultConfig, bitwise-identity
-# checks run with fusion both on and off via LIPF_NO_FUSE) and the arena
-# liveness allocator's adversarial cases (ArenaLayoutTest.*: interleaved
-# lifetimes, same-size reuse, alignment, overlap detection), so
-# sanitizers see the fused kernels and the allocator edge paths too. The serving layer's concurrency edges ride
-# along as well: SessionTest.SubmitRacingShutdownResolvesEveryFuture
+# fusion pass (PlanTest.FusionFiresOnDefaultConfig) and the standalone
+# bias+activation kernel it otherwise folds away
+# (PlanCompileTest.SharedGemmOutputKeepsAStandaloneBiasAct), and the
+# arena liveness allocator's adversarial cases (ArenaLayoutTest.*:
+# interleaved lifetimes, same-size reuse, alignment, overlap detection),
+# so sanitizers see the fused and unfused kernels and the allocator edge
+# paths too, and the storage pool's steady-state allocation budget
+# (AllocationContractTest.*) runs instrumented. The serving layer's
+# concurrency edges ride along as well:
+# SessionTest.SubmitRacingShutdownResolvesEveryFuture
 # (32 submitters vs Shutdown), ResolvedCallerSeesItselfInCompletedStats
 # (the stats commit-before-fulfill ordering contract),
 # BlockingSubmitAppliesFlowControl / BlockingSubmitUnblocksOnShutdown
@@ -25,8 +29,9 @@
 # ctest (scripts/check_chaos.sh) also runs here, driving bench_loadgen's
 # overload + fault-injection phases under the sanitizer; its goodput
 # floor is relaxed below (sanitizer builds gate the correctness
-# invariants — breaker recovery, deadline and non-finite zeros — not
-# throughput, which the instrumented build cannot promise).
+# invariants — zero breaker trips without faults, breaker recovery,
+# deadline and non-finite zeros — not throughput, which the instrumented
+# build cannot promise).
 #
 # Usage:
 #   scripts/check_sanitize.sh [thread|address|undefined]

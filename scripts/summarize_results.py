@@ -7,7 +7,6 @@ is replaced by this block when run with --apply.
 """
 
 import csv
-import json
 import sys
 from pathlib import Path
 
@@ -112,33 +111,6 @@ def main():
             enc = float(r["MSE(+enc)"])
             pieces.append(f"{r['Model']} L={r['L']}: {fmt(base)}->{fmt(enc)}")
         out.append("**Table XII** MSE base -> +encoder: " + "; ".join(pieces))
-        out.append("")
-
-    # Perf-gate summary written by scripts/check_perf.sh: one flat record
-    # per gate (metric, value, baseline, ratio, status). The kernel gate
-    # contributes dozens of per-benchmark rows; keep the table to the
-    # serving gates plus any row that failed, and roll the rest up.
-    summary = results / "BENCH_summary.json"
-    if summary.exists():
-        with open(summary) as fh:
-            records = json.load(fh).get("records", [])
-        failed = [r for r in records if r["status"] != "ok"]
-        serving = [r for r in records if r["gate"] == "serving"]
-        kernels = [r for r in records if r["gate"] == "kernels"]
-        out.append(
-            f"**Perf gates** ({len(records)} records, "
-            f"{len(failed)} failed; kernel rows rolled up: "
-            f"{len(kernels)} benchmarks, worst ratio "
-            + (f"{max(r['ratio'] for r in kernels):.2f}x):"
-               if kernels else "n/a):"))
-        out.append("")
-        out.append("| gate | metric | value | baseline | ratio | status |")
-        out.append("|---|---|---|---|---|---|")
-        for r in serving + [r for r in failed if r not in serving]:
-            out.append(
-                f"| {r['gate']} | {r['metric']} | {r['value']:.3f} "
-                f"| {r['baseline']:.3f} | {r['ratio']:.3f} "
-                f"| {r['status']} |")
         out.append("")
 
     block = "\n".join(out)

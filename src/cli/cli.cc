@@ -99,6 +99,7 @@
 #include <fstream>
 #include <future>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <sstream>
@@ -1116,12 +1117,14 @@ int Main(int argc, char** argv) {
     return Usage();
   }
   if (args.Has("threads")) {
-    const int64_t threads = args.GetInt("threads", 0);
-    if (threads < 1) {
-      std::fprintf(stderr, "error: --threads must be >= 1\n");
+    int threads;
+    if (!ParseNumThreads(args.Get("threads", ""), &threads)) {
+      std::fprintf(stderr,
+                   "error: --threads must be an integer in [1, %d]\n",
+                   std::numeric_limits<int>::max());
       return 2;
     }
-    SetNumThreads(static_cast<int>(threads));
+    SetNumThreads(threads);
   }
   if (args.command == "list") return CmdList();
   if (args.command == "train") return CmdTrain(args);

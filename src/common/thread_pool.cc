@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <limits>
 
 #include "common/logging.h"
+#include "common/parse.h"
 
 namespace lipformer {
 
@@ -119,11 +121,20 @@ int HardwareThreads() {
   return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
+bool ParseNumThreads(const std::string& s, int* out) {
+  int64_t n;
+  if (!ParseInt64(s, &n) || n < 1 || n > std::numeric_limits<int>::max()) {
+    return false;
+  }
+  *out = static_cast<int>(n);
+  return true;
+}
+
 int DefaultNumThreads() {
   const char* env = std::getenv("LIPF_NUM_THREADS");
   if (env != nullptr && env[0] != '\0') {
-    const int n = std::atoi(env);
-    if (n >= 1) return n;
+    int n;
+    if (ParseNumThreads(env, &n)) return n;
     LIPF_LOG(Warning) << "ignoring invalid LIPF_NUM_THREADS='" << env << "'";
   }
   return HardwareThreads();

@@ -7,6 +7,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -73,8 +74,13 @@ class ThreadPool {
 // Threads suggested by the hardware (>= 1).
 int HardwareThreads();
 
-// Default thread count: LIPF_NUM_THREADS if set (clamped to >= 1), else
-// HardwareThreads(). Read once on first use.
+// Parses a thread count strictly (common/parse.h): a base-10 integer
+// >= 1 that fits in int. `*out` is untouched on failure.
+bool ParseNumThreads(const std::string& s, int* out);
+
+// Default thread count: LIPF_NUM_THREADS if it parses (ParseNumThreads),
+// else HardwareThreads(), with a warning when the variable is set but
+// invalid.
 int DefaultNumThreads();
 
 // Sets the global thread count used by ParallelFor. 1 means fully serial

@@ -1,7 +1,6 @@
 #include "serve/plan.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <numeric>
 #include <unordered_map>
@@ -550,14 +549,12 @@ Result<std::shared_ptr<const InferencePlan>> InferencePlan::Compile(
   // ---- Fusion (DESIGN.md §11 "Fusion pass") ----
   // Two rewrites over the SSA op list, both gated by the bitwise
   // validation runs below exactly like every other compile-time
-  // transform. LIPF_NO_FUSE compiles the plan without them
-  // (bench_serving uses it to measure the fusion speedup).
-  const bool fuse_enabled = std::getenv("LIPF_NO_FUSE") == nullptr;
+  // transform.
   int64_t epilogue_absorbed = 0;
   int64_t chains_emitted = 0;
   int64_t chain_ops_absorbed = 0;
 
-  if (fuse_enabled) {
+  {
     // ---- GEMM epilogue fusion ----
     // A GEMM (fp32 or quantized) absorbs its sole consumer when that is
     // the bias+activation pass the module forward runs right after it
@@ -640,7 +637,7 @@ Result<std::shared_ptr<const InferencePlan>> InferencePlan::Compile(
     plan->ops_ = std::move(kept);
   }
 
-  if (fuse_enabled) {
+  {
     // ---- Elementwise-chain fusion ----
     // A run of adjacent elementwise ops where each output flows straight
     // into the next op (sole consumer, elements read in identity order)

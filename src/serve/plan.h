@@ -121,8 +121,8 @@ class InferencePlan {
   }
 
   // Per-op-kind wall-clock accounting. Off by default (two clock reads
-  // per op); `lipformer_cli serve` and the profiling pass of
-  // bench_serving turn it on.
+  // per op); `lipformer_cli serve` and the traced runs and per-layer
+  // replays of benchmark/ turn it on.
   void set_profiling(bool enabled) const {
     profiling_.store(enabled, std::memory_order_relaxed);
   }

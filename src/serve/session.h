@@ -70,8 +70,9 @@ struct BundleModel {
 // its model and scaler.
 Result<BundleModel> LoadBundleModel(const std::string& path);
 
-// Plan observability for `lipformer_cli serve` stats and bench_serving
-// (aggregated over the session's per-batch-size plan cache).
+// Plan observability for `lipformer_cli serve` stats and the plan.*
+// metrics of benchmark/ (aggregated over the session's per-batch-size
+// plan cache).
 struct SessionPlanStats {
   int64_t plans_compiled = 0;    // distinct batch sizes compiled
   PlanStats plan;                // batch-size-1 plan (or first compiled)

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/parse.h"
+#include "common/thread_pool.h"
 #include "data/csv.h"
 #include "data/synthetic.h"
 
@@ -193,6 +194,25 @@ TEST(CliMainTest, ListSucceeds) {
   std::vector<char*> argv;
   for (auto& s : argv_strings) argv.push_back(s.data());
   EXPECT_EQ(Main(static_cast<int>(argv.size()), argv.data()), 0);
+}
+
+TEST(CliMainTest, ThreadsOutsideIntRangeReturnUsageCode) {
+  // 2^31 does not fit in int and 2^32 + 1 would truncate to 1: both are
+  // usage errors, never an abort or a silent single thread.
+  for (const char* flag :
+       {"--threads=0", "--threads=-2", "--threads=2147483648",
+        "--threads=4294967297", "--threads=4abc"}) {
+    std::vector<std::string> argv_strings = {"prog", "list", flag};
+    std::vector<char*> argv;
+    for (auto& s : argv_strings) argv.push_back(s.data());
+    EXPECT_EQ(Main(static_cast<int>(argv.size()), argv.data()), 2) << flag;
+  }
+  std::vector<std::string> argv_strings = {"prog", "list", "--threads=2"};
+  std::vector<char*> argv;
+  for (auto& s : argv_strings) argv.push_back(s.data());
+  EXPECT_EQ(Main(static_cast<int>(argv.size()), argv.data()), 0);
+  EXPECT_EQ(GetNumThreads(), 2);
+  SetNumThreads(DefaultNumThreads());
 }
 
 TEST(CliParseTest, RepeatedOptionsKeepEveryOccurrenceInOrder) {

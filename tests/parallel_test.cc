@@ -13,8 +13,10 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -88,6 +90,37 @@ TEST(ThreadPoolTest, EnvDefaultIsAtLeastOne) {
   EXPECT_GE(DefaultNumThreads(), 1);
   EXPECT_GE(HardwareThreads(), 1);
   EXPECT_GE(GetNumThreads(), 1);
+}
+
+TEST(ThreadPoolTest, ThreadCountsParseStrictly) {
+  int n = -1;
+  EXPECT_TRUE(ParseNumThreads("1", &n));
+  EXPECT_EQ(n, 1);
+  EXPECT_TRUE(ParseNumThreads("2147483647", &n));
+  EXPECT_EQ(n, std::numeric_limits<int>::max());
+  for (const char* bad : {"", "0", "-1", "4abc", "1e3", " ", "2147483648",
+                          "4294967297", "99999999999"}) {
+    n = -1;
+    EXPECT_FALSE(ParseNumThreads(bad, &n)) << bad;
+    EXPECT_EQ(n, -1) << bad;
+  }
+}
+
+TEST(ThreadPoolTest, InvalidEnvThreadCountFallsBackToHardware) {
+  const char* saved = std::getenv("LIPF_NUM_THREADS");
+  const std::string restore = saved == nullptr ? "" : saved;
+  ASSERT_EQ(setenv("LIPF_NUM_THREADS", "3", 1), 0);
+  EXPECT_EQ(DefaultNumThreads(), 3);
+  // atoi used to read these as 4, 1 and an overflowed 1215752191.
+  for (const char* bad : {"4abc", "1e3", "99999999999", "0"}) {
+    ASSERT_EQ(setenv("LIPF_NUM_THREADS", bad, 1), 0);
+    EXPECT_EQ(DefaultNumThreads(), HardwareThreads()) << bad;
+  }
+  if (saved == nullptr) {
+    unsetenv("LIPF_NUM_THREADS");
+  } else {
+    setenv("LIPF_NUM_THREADS", restore.c_str(), 1);
+  }
 }
 
 // Computes every kernel the backend parallelizes on LiPFormer-sized

@@ -1,10 +1,13 @@
 // Storage pool contract: size-class rounding, release-to-freelist reuse,
 // refcounted sharing, cross-thread traffic, zero-fill semantics on top of
-// recycled (dirty) blocks, and the end-to-end guarantee that the pool
-// never changes numerics — a model forward/backward is bitwise identical
-// with the pool on and off, at any thread count.
+// recycled (dirty) blocks, the end-to-end guarantee that the pool never
+// changes numerics — a model forward/backward is bitwise identical with
+// the pool on and off, at any thread count — and the steady-state
+// allocation budget of train, inference and serving steps.
 
 #include <cstring>
+#include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -12,7 +15,10 @@
 
 #include "common/thread_pool.h"
 #include "core/lipformer.h"
+#include "data/scaler.h"
 #include "data/synthetic.h"
+#include "models/factory.h"
+#include "serve/session.h"
 #include "tensor/storage_pool.h"
 #include "tests/test_util.h"
 
@@ -226,6 +232,119 @@ TEST(StoragePoolTest, ModelStepBitwiseIdenticalPoolOnVsOffAcrossThreads) {
           << "grad " << i << " differs at threads=" << threads;
     }
   }
+}
+
+// ---------------------------------------------------------------------
+// Allocation contract. After one warm-up step has filled the freelists, a
+// steady-state step takes its storages from the pool: at threads 1, on
+// the 96 -> 24 x 7-channel LiPFormer (patch 24, hidden 64, batch 8), a
+// train step acquires at most 477 storages and reaches the heap about
+// once, an eval forward acquires at most 197 and never reaches the heap,
+// and the plan-served Predict/PredictBatch never reach the heap. The
+// bounds are the measured per-step counts plus 0.5; a change that adds
+// tensors to a step has to raise them on purpose.
+
+constexpr int kMeasuredSteps = 50;
+
+struct PoolTraffic {
+  double acquires_per_step = 0;
+  double heap_allocs_per_step = 0;
+};
+
+// Runs `step` once to warm the pool, then kMeasuredSteps times with the
+// counters reset, and returns the per-step traffic.
+template <typename Fn>
+PoolTraffic MeasurePoolTraffic(Fn step) {
+  step();
+  ResetStoragePoolCounters();
+  for (int i = 0; i < kMeasuredSteps; ++i) step();
+  const StoragePoolStats stats = GetStoragePoolStats();
+  PoolTraffic traffic;
+  traffic.acquires_per_step =
+      static_cast<double>(stats.acquires) / kMeasuredSteps;
+  traffic.heap_allocs_per_step =
+      static_cast<double>(stats.heap_allocs) / kMeasuredSteps;
+  return traffic;
+}
+
+class AllocationContractTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    SetNumThreads(1);
+    SetStoragePoolEnabled(true);
+    config_.input_len = 96;
+    config_.pred_len = 24;
+    config_.channels = 7;
+    config_.patch_len = 24;
+    config_.hidden_dim = 64;
+  }
+
+  Batch MakeBatch(Split split) const {
+    SeasonalConfig gen;
+    gen.steps = 600;
+    gen.channels = config_.channels;
+    WindowDataset::Options options;
+    options.input_len = config_.input_len;
+    options.pred_len = config_.pred_len;
+    WindowDataset data(GenerateSeasonal(gen), options);
+    return data.MakeBatch(split, {0, 1, 2, 3, 4, 5, 6, 7});
+  }
+
+  PoolStateScope scope_;
+  LiPFormerConfig config_;
+};
+
+TEST_F(AllocationContractTest, TrainStepReusesPooledStorage) {
+  LiPFormer model(config_);
+  const Batch batch = MakeBatch(Split::kTrain);
+  const PoolTraffic traffic = MeasurePoolTraffic([&] {
+    model.ZeroGrad();
+    MseLoss(model.Forward(batch), batch.y).Backward();
+  });
+  EXPECT_LE(traffic.acquires_per_step, 477.5);
+  EXPECT_LE(traffic.heap_allocs_per_step, 1.5);
+}
+
+TEST_F(AllocationContractTest, InferenceStepNeverReachesTheHeap) {
+  LiPFormer model(config_);
+  model.SetTraining(false);
+  const Batch batch = MakeBatch(Split::kTest);
+  NoGradGuard no_grad;
+  const PoolTraffic traffic =
+      MeasurePoolTraffic([&] { (void)model.Forward(batch); });
+  EXPECT_LE(traffic.acquires_per_step, 197.5);
+  EXPECT_EQ(traffic.heap_allocs_per_step, 0);
+}
+
+TEST_F(AllocationContractTest, PlanServingNeverReachesTheHeap) {
+  ForecasterDims dims;
+  dims.input_len = config_.input_len;
+  dims.pred_len = config_.pred_len;
+  dims.channels = config_.channels;
+  ModelOptions options;
+  options.patch_len = config_.patch_len;
+  options.hidden_dim = config_.hidden_dim;
+  std::unique_ptr<Forecaster> model = CreateModel("lipformer", dims, options);
+  StandardScaler scaler;
+  scaler.Fit(RandomTensor({64, dims.channels}, 3));
+  const std::string path = ::testing::TempDir() + "/alloc_contract.ckpt";
+  ASSERT_TRUE(
+      serve::SaveModelBundle(path, "lipformer", options, *model, scaler).ok());
+  auto opened = serve::InferenceSession::Open(path);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  serve::InferenceSession* session = opened.value().get();
+
+  const Tensor window = RandomTensor({dims.input_len, dims.channels}, 4);
+  const Tensor batch =
+      RandomTensor({16, dims.input_len, dims.channels}, 5);
+  bool ok = true;
+  const PoolTraffic single = MeasurePoolTraffic(
+      [&] { ok = session->Predict(window).ok() && ok; });
+  const PoolTraffic batched = MeasurePoolTraffic(
+      [&] { ok = session->PredictBatch(batch).ok() && ok; });
+  EXPECT_TRUE(ok);
+  EXPECT_EQ(single.heap_allocs_per_step, 0);
+  EXPECT_EQ(batched.heap_allocs_per_step, 0);
 }
 
 }  // namespace
