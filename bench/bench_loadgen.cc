@@ -3,22 +3,26 @@
 // channels) is served through serve::ModelRegistry under open-loop
 // Poisson load at 1.5x this box's calibrated capacity, with per-request
 // deadlines and a retrying client: kOverloaded sheds are retried after a
-// backoff (bounded attempts, honoring the original deadline). Two phases:
+// backoff (bounded attempts, honoring the original deadline). Three
+// phases, A-B-A:
 //
 //   1. no-fault: the overload baseline;
 //   2. faulted: the same load with slow-infer stragglers, then a window
-//      of poisoned outputs, injected mid-run (common/fault_injection.h).
+//      of poisoned outputs, injected mid-run (common/fault_injection.h);
+//   3. no-fault again, once the breaker has recovered.
 //
 // Every ok answer is memcmp-checked against a serial session's prediction
 // for the same window and scanned for non-finite values. Exits 1 unless:
-// both phases answer requests; no delivered answer is torn or
-// non-finite; no request executes past its deadline; the no-fault phase
-// trips no breaker and produces no non-finite forecast; the poisoned
+// every phase answers requests; no delivered answer is torn or
+// non-finite; no request executes past its deadline; neither no-fault
+// phase trips a breaker or produces a non-finite forecast; the poisoned
 // forecasts surface as typed Internal errors and trip the circuit
 // breaker, which recovers to closed via half-open probes once the faults
 // clear; and faulted goodput is at least --chaos-goodput-floor-pct
-// percent of the no-fault goodput. Exits 2 on an unknown or malformed
-// flag.
+// percent of the mean no-fault goodput. Bracketing the faulted phase with
+// two baselines keeps a drift in host speed over the run (a shared VM
+// speeding up or slowing down) from reading as a fault-handling cost.
+// Exits 2 on an unknown or malformed flag.
 //
 //   bench_loadgen [--chaos-duration-ms=N] [--chaos-goodput-floor-pct=N]
 //                 [--json=FILE]
@@ -30,7 +34,8 @@
 //
 // JSON output (checked by check_chaos.sh):
 //   {"base_rps": ..., "nofault": {phase}, "faulted": {phase},
-//    "nofault_breaker_trips": ..., "breaker_trips": ...,
+//    "nofault_after": {phase}, "nofault_breaker_trips": ...,
+//    "nofault_after_breaker_trips": ..., "breaker_trips": ...,
 //    "breaker_probes": ..., "breaker_state": "closed", "recovered": ...,
 //    "executed_past_deadline": ..., "server_nonfinite": ...,
 //    "goodput_ratio": ...}
@@ -629,17 +634,31 @@ int Run(int argc, char** argv) {
   const int64_t nofault_trips = after_nofault.breaker.trips;
   const int64_t trips = final_stats.breaker.trips - nofault_trips;
 
+  // Phase 3 — the no-fault baseline again, after recovery.
+  PhaseResult nofault_after = Phase(&registry, name, windows, expected,
+                                    deadline_s, backoff_s)
+                                  .Run(target_rps, duration_s, /*seed=*/779);
+  PrintPhase("chaos-nofault-after", nofault_after);
+  const serve::BatcherStats after_all = registry.Models()[0].batcher;
+  const int64_t nofault_after_trips =
+      after_all.breaker.trips - final_stats.breaker.trips;
+  const double baseline_rps =
+      (nofault.goodput_rps + nofault_after.goodput_rps) / 2;
+
   std::fprintf(
       stderr,
-      "chaos: breaker trips=%lld (no-fault %lld) probes=%lld state=%s "
-      "recovered=%d executed_past_deadline=%lld server_nonfinite=%lld "
-      "goodput=%.1f/%.1f rps (floor %lld%%)\n",
+      "chaos: breaker trips=%lld (no-fault %lld, %lld) probes=%lld "
+      "state=%s recovered=%d executed_past_deadline=%lld "
+      "server_nonfinite=%lld goodput=%.1f/%.1f rps (no-fault %.1f, %.1f; "
+      "floor %lld%%)\n",
       static_cast<long long>(trips), static_cast<long long>(nofault_trips),
+      static_cast<long long>(nofault_after_trips),
       static_cast<long long>(final_stats.breaker.probes),
       serve::BreakerStateName(final_stats.breaker.state), recovered ? 1 : 0,
-      static_cast<long long>(final_stats.executed_past_deadline),
-      static_cast<long long>(final_stats.nonfinite_answers),
-      faulted.goodput_rps, nofault.goodput_rps,
+      static_cast<long long>(after_all.executed_past_deadline),
+      static_cast<long long>(after_all.nonfinite_answers),
+      faulted.goodput_rps, baseline_rps, nofault.goodput_rps,
+      nofault_after.goodput_rps,
       static_cast<long long>(flags.goodput_floor_pct));
 
   bool violations = false;
@@ -648,19 +667,26 @@ int Run(int argc, char** argv) {
     std::fprintf(stderr, "FAIL: %s\n", what.c_str());
     violations = true;
   };
-  check(nofault.completed > 0 && faulted.completed > 0,
+  check(nofault.completed > 0 && faulted.completed > 0 &&
+            nofault_after.completed > 0,
         "a chaos phase completed zero requests");
-  check(nofault.mismatched == 0 && faulted.mismatched == 0,
+  check(nofault.mismatched == 0 && faulted.mismatched == 0 &&
+            nofault_after.mismatched == 0,
         "torn answers under overload/chaos");
-  check(nofault.nonfinite == 0 && faulted.nonfinite == 0,
+  check(nofault.nonfinite == 0 && faulted.nonfinite == 0 &&
+            nofault_after.nonfinite == 0,
         "non-finite answers were delivered");
   check(nofault_trips == 0,
         std::to_string(nofault_trips) +
             " breaker trip(s) in the no-fault phase");
-  check(after_nofault.nonfinite_answers == 0,
+  check(nofault_after_trips == 0,
+        std::to_string(nofault_after_trips) +
+            " breaker trip(s) in the second no-fault phase");
+  check(after_nofault.nonfinite_answers == 0 &&
+            after_all.nonfinite_answers == final_stats.nonfinite_answers,
         "the model produced non-finite forecasts without faults");
-  check(final_stats.executed_past_deadline == 0,
-        std::to_string(final_stats.executed_past_deadline) +
+  check(after_all.executed_past_deadline == 0,
+        std::to_string(after_all.executed_past_deadline) +
             " request(s) executed past their deadline");
   check(faulted.internal >= 1,
         "poisoned outputs did not surface as typed Internal errors");
@@ -670,9 +696,9 @@ int Run(int argc, char** argv) {
         std::string("breaker did not recover to closed (state=") +
             serve::BreakerStateName(final_stats.breaker.state) + ")");
   check(faulted.goodput_rps >=
-            (flags.goodput_floor_pct / 100.0) * nofault.goodput_rps,
+            (flags.goodput_floor_pct / 100.0) * baseline_rps,
         "faulted goodput below " + std::to_string(flags.goodput_floor_pct) +
-            "% of the no-fault goodput");
+            "% of the mean no-fault goodput");
 
   if (!flags.json_path.empty()) {
     FILE* json = std::fopen(flags.json_path.c_str(), "w");
@@ -684,19 +710,23 @@ int Run(int argc, char** argv) {
     WritePhase(json, nofault);
     std::fprintf(json, ", \"faulted\": ");
     WritePhase(json, faulted);
+    std::fprintf(json, ", \"nofault_after\": ");
+    WritePhase(json, nofault_after);
     std::fprintf(
         json,
-        ", \"nofault_breaker_trips\": %lld, \"breaker_trips\": %lld, "
+        ", \"nofault_breaker_trips\": %lld, "
+        "\"nofault_after_breaker_trips\": %lld, \"breaker_trips\": %lld, "
         "\"breaker_probes\": %lld, \"breaker_state\": \"%s\", "
         "\"recovered\": %d, \"executed_past_deadline\": %lld, "
         "\"server_nonfinite\": %lld, \"goodput_ratio\": %.3f}\n",
-        static_cast<long long>(nofault_trips), static_cast<long long>(trips),
+        static_cast<long long>(nofault_trips),
+        static_cast<long long>(nofault_after_trips),
+        static_cast<long long>(trips),
         static_cast<long long>(final_stats.breaker.probes),
         serve::BreakerStateName(final_stats.breaker.state), recovered ? 1 : 0,
-        static_cast<long long>(final_stats.executed_past_deadline),
-        static_cast<long long>(final_stats.nonfinite_answers),
-        nofault.goodput_rps > 0 ? faulted.goodput_rps / nofault.goodput_rps
-                                : 0.0);
+        static_cast<long long>(after_all.executed_past_deadline),
+        static_cast<long long>(after_all.nonfinite_answers),
+        baseline_rps > 0 ? faulted.goodput_rps / baseline_rps : 0.0);
     std::fclose(json);
     std::fprintf(stderr, "wrote %s\n", flags.json_path.c_str());
   }

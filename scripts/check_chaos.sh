@@ -5,8 +5,9 @@
 # Part 1 — bench_loadgen: open-loop Poisson load at 1.5x the box's
 # calibrated capacity with per-request deadlines, first fault-free (the
 # overload baseline), then with slow-infer and poison-output faults
-# injected mid-run. The binary exits non-zero unless:
-#   - the no-fault phase trips no circuit breaker and produces no
+# injected mid-run, then fault-free again. The binary exits non-zero
+# unless:
+#   - neither no-fault phase trips a circuit breaker or produces a
 #     non-finite forecast,
 #   - the per-model circuit breaker trips on the poisoned forecasts and
 #     recovers to closed via half-open probes once the faults clear,
@@ -17,7 +18,8 @@
 #   - zero torn answers (every delivered answer bitwise matches the
 #     serial reference),
 #   - goodput under faults stays >= LIPF_CHAOS_GOODPUT_FLOOR_PCT% (85 by
-#     default) of the no-fault overload baseline.
+#     default) of the mean of the two no-fault phases, which bracket it
+#     so host-speed drift during the run cancels out.
 #
 # Part 2 — lipformer_cli serve under LIPF_FAULT: a registry-backed
 # server runs with a stalled reload watcher (watcher_stall_ms) and an

@@ -8,7 +8,11 @@
 # plan-shared / arena-per-request contract of serve/plan.h. The plan
 # suite also covers every registered model's plan, including the
 # data-dependent kIndexSelect / kProbSparseMask / kTimeDelayAggregate
-# kernels (PlanInventoryTest.EveryRegisteredModelServesFromAPlan), the
+# kernels and the fused kAttention kernel
+# (PlanInventoryTest.EveryRegisteredModelServesFromAPlan, whose mode
+# matrix adds every quantizable bundle as int8 and runs each 96 -> 24
+# bundle's plans at one and four tensor threads, so TSan sees the
+# attention kernel's ParallelFor at more than one pool size), the
 # fusion pass (PlanTest.FusionFiresOnDefaultConfig) and the standalone
 # bias+activation kernel it otherwise folds away
 # (PlanCompileTest.SharedGemmOutputKeepsAStandaloneBiasAct), and the
@@ -16,7 +20,11 @@
 # interleaved lifetimes, same-size reuse, alignment, overlap detection),
 # so sanitizers see the fused and unfused kernels and the allocator edge
 # paths too, and the storage pool's steady-state allocation budget
-# (AllocationContractTest.*) runs instrumented. The serving layer's
+# (AllocationContractTest.*) runs instrumented. Under `address`,
+# AttentionKernelTest.RawKernelMatchesComposedChainOnExactBuffers and
+# NanReachesTheRowsThatReadIt call raw::AttentionRows on exactly sized
+# std::vector buffers over the registry's attention shapes, so ASan sees
+# any read past a row or a query-block tail. The serving layer's
 # concurrency edges ride along as well:
 # SessionTest.SubmitRacingShutdownResolvesEveryFuture
 # (32 submitters vs Shutdown), ResolvedCallerSeesItselfInCompletedStats

@@ -20,6 +20,11 @@ inline bool Taped(const Variable& a, const Variable& b) {
   return GradEnabled() && (a.requires_grad() || b.requires_grad());
 }
 
+inline bool Taped(const Variable& a, const Variable& b, const Variable& c) {
+  return GradEnabled() &&
+         (a.requires_grad() || b.requires_grad() || c.requires_grad());
+}
+
 inline bool Taped(const std::vector<Variable>& vs) {
   if (!GradEnabled()) return false;
   for (const Variable& v : vs) {
@@ -476,6 +481,25 @@ Variable ScaledMaskedSoftmax(const Variable& a, float scale,
       std::move(value), {a}, [out, scale](const Tensor& g) {
         return std::vector<Tensor>{
             ScaledMaskedSoftmaxBackward(g, out, scale)};
+      });
+}
+
+Variable Attention(const Variable& q, const Variable& k, const Variable& v,
+                   int64_t num_heads, float scale, const Tensor* mask) {
+  if (!Taped(q, k, v)) {
+    return Variable(Attention(q.value(), k.value(), v.value(), num_heads,
+                              scale, mask));
+  }
+  Tensor probs;
+  Tensor value = Attention(q.value(), k.value(), v.value(), num_heads, scale,
+                           mask, &probs);
+  const Tensor qv = q.value();
+  const Tensor kv = k.value();
+  const Tensor vv = v.value();
+  return Variable::MakeNode(
+      std::move(value), {q, k, v},
+      [qv, kv, vv, probs, num_heads, scale](const Tensor& g) {
+        return AttentionBackward(g, qv, kv, vv, probs, num_heads, scale);
       });
 }
 

@@ -89,6 +89,13 @@ Variable AddConst(const Variable& a, const Tensor& c);
 // Softmax(AddConst(MulScalar(a, scale), mask), -1) chain.
 Variable ScaledMaskedSoftmax(const Variable& a, float scale,
                              const Tensor* mask);
+// Fused multi-head attention (tensor/ops.h Attention): q [B, Sq, H*dk],
+// k [B, Sk, H*dk], v [B, Sk, H*dv] -> [B, Sq, H*dv]; mask is a constant
+// additive [Sq, Sk] matrix (or null). The taped forward runs the same
+// kernel, also writing the probabilities the backward needs, so taped
+// and untaped outputs are bitwise equal.
+Variable Attention(const Variable& q, const Variable& k, const Variable& v,
+                   int64_t num_heads, float scale, const Tensor* mask);
 // act(a + bias) with bias broadcast over the last dim — the Linear
 // epilogue. The backward recomputes the pre-activation from the saved
 // inputs instead of storing it.

@@ -1,5 +1,6 @@
 #include "nn/attention.h"
 
+#include <algorithm>
 #include <cmath>
 
 namespace lipformer {
@@ -17,17 +18,31 @@ Tensor MakeCausalMask(int64_t sq, int64_t sk) {
 
 namespace {
 
+// q [*, Sq, dk], k [*, Sk, dk], v [*, Sk, dv] with equal leading dims:
+// one fused Attention call over the flattened leading dims, one head.
 Variable AttentionCore(const Variable& q, const Variable& k,
                        const Variable& v, const Tensor* causal_mask) {
-  const int64_t dh = q.size(-1);
-  const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
-  // Scores q k^T without materializing a transposed copy of k: the
-  // transpose is folded into the packed GEMM's operand packing. Scaling,
-  // masking and softmax run as one fused kernel (one intermediate tensor
-  // instead of three; bitwise identical to the unfused chain).
-  Variable scores = MatMulTransB(q, k);
-  Variable attn = ScaledMaskedSoftmax(scores, scale, causal_mask);
-  return MatMul(attn, v);
+  LIPF_CHECK_GE(q.dim(), 2);
+  const Shape& qs = q.shape();
+  const Shape lead(qs.begin(), qs.end() - 2);
+  LIPF_CHECK(k.dim() == q.dim() && v.dim() == q.dim() &&
+             std::equal(lead.begin(), lead.end(), k.shape().begin()) &&
+             std::equal(lead.begin(), lead.end(), v.shape().begin()))
+      << "attention operands need equal leading dims";
+  const int64_t n = NumElements(lead);
+  const int64_t sq = q.size(-2);
+  const int64_t sk = k.size(-2);
+  const int64_t dk = q.size(-1);
+  const int64_t dv = v.size(-1);
+  const float scale = 1.0f / std::sqrt(static_cast<float>(dk));
+  Variable out = Attention(Reshape(q, Shape{n, sq, dk}),
+                           Reshape(k, Shape{n, sk, dk}),
+                           Reshape(v, Shape{n, sk, dv}), /*num_heads=*/1,
+                           scale, causal_mask);
+  Shape out_shape = lead;
+  out_shape.push_back(sq);
+  out_shape.push_back(dv);
+  return Reshape(out, std::move(out_shape));
 }
 
 }  // namespace
@@ -91,29 +106,20 @@ Variable MultiHeadSelfAttention::Attend(const Variable& q_in,
                                         const Variable& kv_in) const {
   LIPF_CHECK_EQ(q_in.dim(), 3);
   LIPF_CHECK_EQ(q_in.size(-1), model_dim_);
-  const int64_t b = q_in.size(0);
   const int64_t sq = q_in.size(1);
   const int64_t skv = kv_in.size(1);
 
-  auto split_heads = [&](const Variable& t, int64_t s) {
-    // [B, S, D] -> [B, h, S, dh]
-    Variable r = Reshape(t, Shape{b, s, num_heads_, head_dim_});
-    return Permute(r, {0, 2, 1, 3});
-  };
-
-  Variable q = split_heads(wq_->Forward(q_in), sq);
-  Variable k = split_heads(wk_->Forward(kv_in), skv);
-  Variable v = split_heads(wv_->Forward(kv_in), skv);
-
-  Variable ctx = causal_
-                     ? ScaledDotProductAttention(q, k, v, CausalMask(sq, skv))
-                     : ScaledDotProductAttention(q, k, v, /*causal=*/false);
+  // The kernel reads each head's columns of the [B, S, D] projections in
+  // place and writes the merged [B, Sq, D] context: no head split/merge
+  // transposes.
+  Variable q = wq_->Forward(q_in);
+  Variable k = wk_->Forward(kv_in);
+  Variable v = wv_->Forward(kv_in);
+  const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim_));
+  Variable ctx = Attention(q, k, v, num_heads_, scale,
+                           causal_ ? &CausalMask(sq, skv) : nullptr);
   if (attn_dropout_) ctx = attn_dropout_->Forward(ctx);
-
-  // [B, h, Sq, dh] -> [B, Sq, D]
-  Variable merged = Reshape(Permute(ctx, {0, 2, 1, 3}),
-                            Shape{b, sq, model_dim_});
-  return wo_->Forward(merged);
+  return wo_->Forward(ctx);
 }
 
 }  // namespace lipformer

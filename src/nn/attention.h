@@ -12,10 +12,10 @@ namespace lipformer {
 // Additive causal mask [sq, sk]: 0 on/below the diagonal, -1e9 above.
 Tensor MakeCausalMask(int64_t sq, int64_t sk);
 
-// Scaled dot-product attention core: q,k [*, S, dh] / v [*, S, dh] ->
-// [*, Sq, dh]. Scores are computed transpose-free as q k^T via
-// MatMulTransB. Causal masks future positions. Standalone so custom
-// attention variants (ProbSparse, autocorrelation) can reuse pieces.
+// Scaled dot-product attention: q [*, Sq, dk], k [*, Sk, dk], v [*, Sk,
+// dv] with equal leading dims -> [*, Sq, dv], computed by the fused
+// Attention kernel (tensor/ops.h) as one head per leading index. Causal
+// masks future positions.
 Variable ScaledDotProductAttention(const Variable& q, const Variable& k,
                                    const Variable& v, bool causal = false);
 // Variant taking a precomputed additive mask (see MakeCausalMask), so

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
 #include <numeric>
 #include <unordered_map>
 #include <unordered_set>
@@ -131,8 +132,8 @@ int64_t ChainWidthCandidate(const PlanOp& op, int64_t numel) {
 
 // Identity-copy detection: a Permute whose gather strides match the
 // contiguous row-major strides of the output shape (on all non-size-1
-// dims) moves no data — e.g. the head split/merge transposes when
-// num_heads == 1, or reordering size-1 dims.
+// dims) moves no data — e.g. a transpose that only reorders size-1
+// dims.
 bool PermuteIsIdentity(const std::vector<int64_t>& oshape,
                        const std::vector<int64_t>& gather) {
   int64_t stride = 1;
@@ -238,9 +239,8 @@ Result<std::shared_ptr<const InferencePlan>> InferencePlan::Compile(
   // ---- Permute -> GEMM operand fusion decisions ----
   // A non-identity Permute consumed only by a GEMM operand is folded into
   // that GEMM's pack phase when the permuted view is a separable gather
-  // (TrySeparable) — in this model, the attention head-split transposes
-  // on Q, K and V, the channel-independence transposes and the 4-D patch
-  // reshuffle feeding the backbone GEMMs. The GEMM then packs straight
+  // (TrySeparable) — in the served models, the channel-independence
+  // transposes and the 4-D patch reshuffle feeding the backbone GEMMs. The GEMM then packs straight
   // from the pre-permute source via the GemmBatch row-/column-offset
   // overrides; packing reads the same values in the same order, so the
   // result is bitwise identical, and the validation runs below gate any
@@ -390,13 +390,13 @@ Result<std::shared_ptr<const InferencePlan>> InferencePlan::Compile(
     op.scalar = r.scalar;
     op.trans_a = r.trans_a;
     op.trans_b = r.trans_b;
-    std::copy(r.d, r.d + 5, op.d);
+    std::copy(std::begin(r.d), std::end(r.d), op.d);
     op.aux0 = r.aux0;
     op.aux1 = r.aux1;
     op.aux2 = r.aux2;
     op.packed = r.packed;
     op.out_numel = r.out_numel;
-    op.macs = r.kind == trace::OpKind::kGemm ? r.macs : 0;
+    op.macs = r.macs;
     if (fuse_a != nullptr) {
       op.a_row_off = fuse_a->row_off;
       op.a_col_off = fuse_a->col_off;
@@ -825,6 +825,7 @@ Result<std::shared_ptr<const InferencePlan>> InferencePlan::Compile(
       static_cast<int64_t>(sizeof(float));
   for (const PlanOp& op : plan->ops_) {
     if (op.ep_has_bias || op.ep_has_res) plan->stats_.fused_epilogues += 1;
+    plan->stats_.macs += op.macs;
   }
 
   if (values[0].last_use >= 0 || plan->output_is_input_) {

@@ -29,12 +29,12 @@
 //     and the plan takes ownership of its Tensor so the pointer stays
 //     valid for the plan's lifetime.
 //   * Elide. Identity copies (full-range Slice, layout-preserving Permute
-//     such as the head split/merge at num_heads == 1, single-input
+//     such as a transpose that only moves size-1 dims, single-input
 //     Concat) are removed at compile time by aliasing output to input.
 //   * Fuse. A non-identity Permute whose only consumer is a GEMM operand
 //     is folded into that GEMM's pack phase when the permuted view is a
 //     separable gather (offset(row, col) == row_off[row] + col_off[col])
-//     — e.g. the attention head-split transposes and the 4-D patch
+//     — e.g. the channel-independence transposes and the 4-D patch
 //     reshuffle. The pack reads the pre-permute source directly
 //     (GemmBatch row/column offset overrides), writing identical panel
 //     bytes, so the transpose copy disappears from the program with
@@ -81,6 +81,9 @@ struct PlanStats {
   int64_t fused_chain_ops = 0;   // elementwise ops absorbed into chains
   int64_t passes_eliminated = 0; // whole memory passes removed by fusion
   int64_t arena_saved_bytes = 0; // arena shrink vs the unfused layout
+  // Σ PlanOp::macs: the multiply-accumulates one execution performs, the
+  // same count the eager forward charges (tensor/ops.h MAC counter).
+  int64_t macs = 0;
 };
 
 // Aggregated per-op-kind timing (profiling mode only).

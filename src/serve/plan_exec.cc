@@ -135,6 +135,12 @@ inline void RunOp(const PlanOp& op, float* base) {
       raw::TimeDelayAggregateRows(in(0), in(1), in(2), out, op.d[0], op.d[1],
                                   op.d[2], op.d[3], nullptr, nullptr);
       return;
+    case trace::OpKind::kAttention:
+      raw::AttentionRows(in(0), in(1), in(2), out, nullptr, op.d[0],
+                         op.d[1], op.d[2], op.d[3], op.d[4], op.d[5],
+                         op.scalar, op.sub != 0 ? in(3) : nullptr);
+      AddMacCount(op.macs);
+      return;
     case trace::OpKind::kFusedChain: {
       // Resolve the compile-time steps against this arena on the stack;
       // chains are short (kMaxChainSteps) so this is a handful of loads.

@@ -54,7 +54,7 @@ struct PlanOp {
   float scalar = 0.0f;
   bool trans_a = false;
   bool trans_b = false;
-  int64_t d[5] = {0, 0, 0, 0, 0};
+  int64_t d[6] = {0, 0, 0, 0, 0, 0};
   std::vector<int64_t> aux0, aux1, aux2;
 
   // kGemm with a Permute fused into the pack phase (serve/plan.cc): when
@@ -104,7 +104,10 @@ struct PlanOp {
   std::vector<PlanChainStep> chain;
   std::vector<std::vector<int64_t>> chain_bases;
 
-  int64_t macs = 0;  // kGemm MAC charge (kQuantLinear charges internally)
+  // MAC charge of kGemm / kQuantLinear / kAttention. The executor adds it
+  // to the MAC counter for kGemm and kAttention; QuantLinearForward
+  // charges its own.
+  int64_t macs = 0;
 };
 
 // Longest run of elementwise ops a single kFusedChain op may absorb; the

@@ -35,6 +35,7 @@ const char* OpKindName(OpKind kind) {
     case OpKind::kIndexSelect: return "index_select";
     case OpKind::kProbSparseMask: return "prob_sparse_mask";
     case OpKind::kTimeDelayAggregate: return "time_delay_aggregate";
+    case OpKind::kAttention: return "attention";
     case OpKind::kFusedChain: return "fused_chain";
     case OpKind::kNumKinds: break;
   }
@@ -268,6 +269,25 @@ void RecordTimeDelayAggregate(const Tensor& q, const Tensor& k,
   r.d[1] = q.size(1);
   r.d[2] = q.size(2);
   r.d[3] = topk;
+  g_recorder->Add(std::move(r));
+}
+
+void RecordAttention(const Tensor& q, const Tensor& k, const Tensor& v,
+                     const Tensor* mask, const Tensor& out,
+                     int64_t num_heads, float scale) {
+  if (g_recorder == nullptr) return;
+  TraceRecord r = mask != nullptr
+                      ? Base(OpKind::kAttention, {&q, &k, &v, mask}, out)
+                      : Base(OpKind::kAttention, {&q, &k, &v}, out);
+  r.sub = mask != nullptr ? 1 : 0;
+  r.scalar = scale;
+  r.d[0] = q.size(0);
+  r.d[1] = num_heads;
+  r.d[2] = q.size(1);
+  r.d[3] = k.size(1);
+  r.d[4] = q.size(2) / num_heads;
+  r.d[5] = v.size(2) / num_heads;
+  r.macs = r.d[0] * r.d[1] * r.d[2] * r.d[3] * (r.d[4] + r.d[5]);
   g_recorder->Add(std::move(r));
 }
 

@@ -54,6 +54,7 @@ enum class OpKind : int32_t {
   kIndexSelect,    // raw::IndexSelectCopy
   kProbSparseMask,       // raw::ProbSparseMaskRows
   kTimeDelayAggregate,   // raw::TimeDelayAggregateRows
+  kAttention,      // raw::AttentionRows
   // Never traced: synthesized by the plan compiler's elementwise-chain
   // fusion pass (serve/plan.cc) and executed via raw::FusedChainRows.
   kFusedChain,
@@ -79,6 +80,8 @@ const char* OpKindName(OpKind kind);
 //   kIndexSelect:  d0=outer d1=mid d2=inner d3=nsel  aux0=indices
 //   kProbSparseMask: d0=b d1=s d2=u
 //   kTimeDelayAggregate: d0=b d1=s d2=d d3=topk   in={q, k, v}
+//   kAttention:    d0=batch d1=heads d2=sq d3=sk d4=dk d5=dv, sub=has_mask
+//                  in={q, k, v[, mask]}
 struct TraceRecord {
   OpKind kind = OpKind::kBinary;
   int32_t sub = 0;
@@ -86,12 +89,12 @@ struct TraceRecord {
   std::vector<const float*> in;  // operand data pointers, kind-specific
   const float* out = nullptr;
   int64_t out_numel = 0;
-  int64_t d[5] = {0, 0, 0, 0, 0};
+  int64_t d[6] = {0, 0, 0, 0, 0, 0};
   bool trans_a = false;
   bool trans_b = false;
   std::vector<int64_t> aux0, aux1, aux2;
   const Int8PackedWeight* packed = nullptr;  // kQuantLinear only
-  int64_t macs = 0;  // kGemm / kQuantLinear MAC charge
+  int64_t macs = 0;  // kGemm / kQuantLinear / kAttention MAC charge
 };
 
 // RAII trace scope for the current thread. Nesting restores the previous
@@ -169,6 +172,9 @@ void RecordProbSparseMask(const Tensor& scores, const Tensor& mask,
 void RecordTimeDelayAggregate(const Tensor& q, const Tensor& k,
                               const Tensor& v, const Tensor& out,
                               int64_t topk);
+void RecordAttention(const Tensor& q, const Tensor& k, const Tensor& v,
+                     const Tensor* mask, const Tensor& out,
+                     int64_t num_heads, float scale);
 // Poisons the active trace: `what` names the op that cannot be compiled.
 void RecordUnsupported(const char* what);
 

@@ -1434,6 +1434,218 @@ Tensor ScaledMaskedSoftmaxBackward(const Tensor& g, const Tensor& y,
 
 #pragma GCC pop_options
 
+// ---- Fused attention (DESIGN.md "Fused attention") ----
+// Compiled with the file's default contraction: the score and output
+// accumulations become FMAs. That never splits paths, because every
+// caller — the eager op, its taped form and the plan executor — runs this
+// one compiled loop.
+
+namespace {
+
+// Work per ParallelFor chunk, in MACs; one item is one query block.
+constexpr int64_t kAttentionGrain = 32768;
+// Head-dimension columns of the query block held transposed at once. A
+// longer head takes several passes over the keys, which accumulate into
+// the same score block in the same d order.
+constexpr int64_t kAttentionDChunk = 64;
+
+}  // namespace
+
+namespace raw {
+
+void AttentionRows(const float* q, const float* k, const float* v,
+                   float* out, float* probs, int64_t batch, int64_t heads,
+                   int64_t sq, int64_t sk, int64_t dk, int64_t dv,
+                   float scale, const float* mask) {
+  const int64_t ldk = heads * dk;  // row stride of q and k
+  const int64_t ldv = heads * dv;  // row stride of v and out
+  const int64_t blocks = (sq + kVecLanes - 1) / kVecLanes;
+  ParallelFor(
+      batch * heads * blocks,
+      GrainFor(kAttentionGrain, kVecLanes * sk * (dk + dv)),
+      [&](int64_t begin, int64_t end) {
+        VecF s[kAttentionMaxKeys];  // s[j] lane l: query i0+l vs key j
+        VecF qt[kAttentionDChunk];  // qt[d] lane l: q[i0+l][d0+d]
+        for (int64_t item = begin; item < end; ++item) {
+          const int64_t slice = item / blocks;  // b * heads + h
+          const int64_t i0 = (item % blocks) * kVecLanes;
+          const int64_t nq = std::min(kVecLanes, sq - i0);
+          const int64_t b = slice / heads;
+          const int64_t h = slice % heads;
+          const float* qb = q + (b * sq + i0) * ldk + h * dk;
+          const float* kb = k + b * sk * ldk + h * dk;
+          const float* vb = v + b * sk * ldv + h * dv;
+          float* ob = out + (b * sq + i0) * ldv + h * dv;
+
+          // Scores: q·k_j summed over d in order, four keys per sweep of
+          // qt. The last group repeats key sk-1 where sk is not a multiple
+          // of four, rewriting the identical value.
+          for (int64_t j = 0; j < sk; ++j) s[j] = VecF{};
+          for (int64_t d0 = 0; d0 < dk; d0 += kAttentionDChunk) {
+            const int64_t dn = std::min(kAttentionDChunk, dk - d0);
+            for (int64_t d = 0; d < dn; ++d) {
+              VecF col = {};
+              for (int64_t l = 0; l < nq; ++l) col[l] = qb[l * ldk + d0 + d];
+              qt[d] = col;
+            }
+            for (int64_t j = 0; j < sk; j += 4) {
+              const int64_t j1 = std::min(j + 1, sk - 1);
+              const int64_t j2 = std::min(j + 2, sk - 1);
+              const int64_t j3 = std::min(j + 3, sk - 1);
+              const float* k0 = kb + j * ldk + d0;
+              const float* k1 = kb + j1 * ldk + d0;
+              const float* k2 = kb + j2 * ldk + d0;
+              const float* k3 = kb + j3 * ldk + d0;
+              VecF a0 = s[j], a1 = s[j1], a2 = s[j2], a3 = s[j3];
+              for (int64_t d = 0; d < dn; ++d) {
+                a0 += k0[d] * qt[d];
+                a1 += k1[d] * qt[d];
+                a2 += k2[d] * qt[d];
+                a3 += k3[d] * qt[d];
+              }
+              s[j] = a0;
+              s[j1] = a1;
+              s[j2] = a2;
+              s[j3] = a3;
+            }
+          }
+          for (int64_t j = 0; j < sk; ++j) s[j] *= scale;
+          if (mask != nullptr) {
+            const float* mb = mask + i0 * sk;
+            for (int64_t j = 0; j < sk; ++j) {
+              VecF m = {};
+              for (int64_t l = 0; l < nq; ++l) m[l] = mb[l * sk + j];
+              s[j] += m;
+            }
+          }
+
+          // Softmax over keys, lane-wise: max, ExpVec, sum, normalize.
+          VecF mx = s[0];
+          for (int64_t j = 1; j < sk; ++j) mx = s[j] > mx ? s[j] : mx;
+          VecF sum = {};
+          for (int64_t j = 0; j < sk; ++j) {
+            VecF e = s[j] - mx;
+            ExpVec(e);
+            s[j] = e;
+            sum += e;
+          }
+          const VecF inv = 1.0f / sum;
+          for (int64_t j = 0; j < sk; ++j) s[j] *= inv;
+          if (probs != nullptr) {
+            float* pb = probs + (slice * sq + i0) * sk;
+            for (int64_t l = 0; l < nq; ++l) {
+              for (int64_t j = 0; j < sk; ++j) pb[l * sk + j] = s[j][l];
+            }
+          }
+
+          // out[i][d] = sum_j p[i][j] v[j][d], j in order, four output
+          // columns per sweep of the keys (the last group repeats column
+          // dv-1 like the score loop repeats a key).
+          for (int64_t d = 0; d < dv; d += 4) {
+            const int64_t d1 = std::min(d + 1, dv - 1);
+            const int64_t d2 = std::min(d + 2, dv - 1);
+            const int64_t d3 = std::min(d + 3, dv - 1);
+            VecF o0 = {}, o1 = {}, o2 = {}, o3 = {};
+            for (int64_t j = 0; j < sk; ++j) {
+              const float* vr = vb + j * ldv;
+              const VecF p = s[j];
+              o0 += vr[d] * p;
+              o1 += vr[d1] * p;
+              o2 += vr[d2] * p;
+              o3 += vr[d3] * p;
+            }
+            for (int64_t l = 0; l < nq; ++l) {
+              float* orow = ob + l * ldv;
+              orow[d] = o0[l];
+              orow[d1] = o1[l];
+              orow[d2] = o2[l];
+              orow[d3] = o3[l];
+            }
+          }
+        }
+      });
+}
+
+}  // namespace raw
+
+Tensor Attention(const Tensor& q, const Tensor& k, const Tensor& v,
+                 int64_t num_heads, float scale, const Tensor* mask,
+                 Tensor* probs) {
+  LIPF_CHECK_EQ(q.dim(), 3);
+  LIPF_CHECK_EQ(k.dim(), 3);
+  LIPF_CHECK_EQ(v.dim(), 3);
+  const int64_t b = q.size(0);
+  const int64_t sq = q.size(1);
+  const int64_t sk = k.size(1);
+  LIPF_CHECK_EQ(k.size(0), b);
+  LIPF_CHECK_EQ(v.size(0), b);
+  LIPF_CHECK_EQ(v.size(1), sk);
+  LIPF_CHECK_EQ(k.size(2), q.size(2));
+  LIPF_CHECK_GE(num_heads, 1);
+  LIPF_CHECK_EQ(q.size(2) % num_heads, 0);
+  LIPF_CHECK_EQ(v.size(2) % num_heads, 0);
+  const int64_t dk = q.size(2) / num_heads;
+  const int64_t dv = v.size(2) / num_heads;
+  LIPF_CHECK_GE(dk, 1);
+  LIPF_CHECK_GE(sk, 1);
+  LIPF_CHECK_LE(sk, raw::kAttentionMaxKeys)
+      << "attention over more keys than the kernel's stack score block";
+  if (mask != nullptr) {
+    LIPF_CHECK_EQ(mask->dim(), 2);
+    LIPF_CHECK_EQ(mask->size(0), sq);
+    LIPF_CHECK_EQ(mask->size(1), sk);
+  }
+  Tensor out = Tensor::Empty(Shape{b, sq, v.size(2)});
+  float* pp = nullptr;
+  if (probs != nullptr) {
+    *probs = Tensor::Empty(Shape{b, num_heads, sq, sk});
+    pp = probs->data();
+  }
+  raw::AttentionRows(q.data(), k.data(), v.data(), out.data(), pp, b,
+                     num_heads, sq, sk, dk, dv, scale,
+                     mask != nullptr ? mask->data() : nullptr);
+  // Scores plus the probability-weighted sum: what the composed
+  // MatMulTransB -> MatMul pair charges.
+  if (MacsEnabled()) AddMacs(b * num_heads * sq * sk * (dk + dv));
+  if (trace::Active()) {
+    trace::RecordAttention(q, k, v, mask, out, num_heads, scale);
+  }
+  return out;
+}
+
+std::vector<Tensor> AttentionBackward(const Tensor& g, const Tensor& q,
+                                      const Tensor& k, const Tensor& v,
+                                      const Tensor& probs, int64_t num_heads,
+                                      float scale) {
+  if (trace::Active()) trace::RecordUnsupported("AttentionBackward");
+  const int64_t b = q.size(0);
+  const int64_t sq = q.size(1);
+  const int64_t sk = k.size(1);
+  const int64_t h = num_heads;
+  const int64_t dk = q.size(2) / h;
+  const int64_t dv = v.size(2) / h;
+  // [b, s, h*d] <-> [b, h, s, d]; a single head needs only the view.
+  auto split = [&](const Tensor& t, int64_t s, int64_t d) {
+    return h == 1 ? t.Reshape({b, 1, s, d})
+                  : Permute(t.Reshape({b, s, h, d}), {0, 2, 1, 3});
+  };
+  auto merge = [&](const Tensor& t, int64_t s, int64_t d) {
+    return (h == 1 ? t : Permute(t, {0, 2, 1, 3})).Reshape({b, s, h * d});
+  };
+  const Tensor gh = split(g, sq, dv);
+  const Tensor qh = split(q, sq, dk);
+  const Tensor kh = split(k, sk, dk);
+  const Tensor vh = split(v, sk, dv);
+  // With P = softmax(scale * q k^T + mask): dv = P^T g, dP = g v^T,
+  // dS = scale * P (dP - rowsum(dP P)), dq = dS k, dk = dS^T q.
+  const Tensor dvh = MatMulTransA(probs, gh);
+  const Tensor ds =
+      ScaledMaskedSoftmaxBackward(MatMulTransB(gh, vh), probs, scale);
+  const Tensor dqh = MatMul(ds, kh);
+  const Tensor dkh = MatMulTransA(ds, qh);
+  return {merge(dqh, sq, dk), merge(dkh, sk, dk), merge(dvh, sk, dv)};
+}
+
 namespace {
 
 // Same traversal as the forward epilogue for the backward: f(g, z) with z

@@ -139,6 +139,26 @@ Tensor ScaledMaskedSoftmax(const Tensor& t, float scale, const Tensor* mask);
 Tensor ScaledMaskedSoftmaxBackward(const Tensor& g, const Tensor& y,
                                    float scale);
 
+// Fused multi-head attention (raw::AttentionRows): for each batch row and
+// head, softmax(scale * q k^T [+ mask]) v. q [B, Sq, H*dk], k [B, Sk,
+// H*dk], v [B, Sk, H*dv] -> [B, Sq, H*dv]; head h owns columns
+// [h*d, (h+1)*d) of every row, so callers pass the Q/K/V projections as
+// they come. mask, when non-null, is an additive [Sq, Sk] matrix. When
+// probs is non-null it receives the probabilities [B, H, Sq, Sk] for the
+// backward; the output is bitwise the same either way. Differs from the
+// composed MatMulTransB -> ScaledMaskedSoftmax -> MatMul chain only in
+// rounding, within the bounds DESIGN.md states. Charges
+// B*H*Sq*Sk*(dk+dv) MACs, like that chain.
+Tensor Attention(const Tensor& q, const Tensor& k, const Tensor& v,
+                 int64_t num_heads, float scale, const Tensor* mask,
+                 Tensor* probs = nullptr);
+// Gradients {dq, dk, dv} of Attention given upstream g [B, Sq, H*dv] and
+// the saved probabilities, in the forward's layouts.
+std::vector<Tensor> AttentionBackward(const Tensor& g, const Tensor& q,
+                                      const Tensor& k, const Tensor& v,
+                                      const Tensor& probs, int64_t num_heads,
+                                      float scale);
+
 // Activations fusable into the bias-add epilogue of Linear. The tensor
 // layer keeps its own enum so it stays independent of nn/; kTanh/kSigmoid
 // chains stay unfused (they are not on the model's hot path).

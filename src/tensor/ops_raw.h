@@ -148,6 +148,84 @@ void ScaledMaskedSoftmaxRows(const float* in, float* out, int64_t rows,
                              int64_t mid, float scale, const float* mask,
                              int64_t sq);
 
+// ---- Vectorized exp ----
+// One 16-lane float vector (GCC vector extension): a zmm register under
+// AVX-512, two ymm under AVX2, four xmm on the portable baseline. Every
+// operation on it is lane-wise IEEE arithmetic, so a lane's result never
+// depends on its neighbours, on its position, or on how many lanes hold
+// live data — a tail handled by padding a vector gets the same bits as a
+// full vector.
+inline constexpr int64_t kVecLanes = 16;
+typedef float VecF __attribute__((vector_size(64)));
+typedef uint32_t VecU __attribute__((vector_size(64)));
+
+// v = exp(v) lane by lane, inlined so callers' loops stay vectorized (an
+// opaque libm call per element is what blocks that). Cody–Waite range
+// reduction x = n·ln2 + r with |r| <= ln2/2 (ln2 split into an exact
+// 9-bit head and a tail), the Cephes expf polynomial
+// 1 + r + r²·P5(r) on r, and 2^n assembled in the exponent bits. n comes
+// from the 1.5·2^23 rounding trick, so no float→int conversion can
+// overflow. Edges: x < kExpLo (ln FLT_MIN; e.g. the -1e9 of a causal
+// mask, or -inf) gives exactly +0; x > kExpHi (just below 127.5·ln2, so
+// n <= 127) gives +inf; NaN gives NaN; exp(0) is exactly 1. DESIGN.md
+// ("Fused attention") states the max-ulp bound against std::exp that
+// AttentionKernelTest enforces.
+inline constexpr float kExpLo = -87.33654475f;
+inline constexpr float kExpHi = 88.3762550f;
+
+// In place: a by-value VecF parameter or return draws GCC's ABI note on
+// targets without AVX-512 (the portable build), even when inlined.
+inline __attribute__((always_inline)) void ExpVec(VecF& v) {
+  const VecF x = v;
+  const VecF zero = {};
+  const VecF magic = zero + 12582912.0f;  // 1.5 * 2^23
+  const VecF t = x * 1.44269504088896341f + magic;
+  const VecF n = t - magic;  // round(x / ln2), exact
+  VecF r = x - n * 0.693359375f;
+  r = r - n * -2.12194440e-4f;
+  VecF p = r * 1.9875691500e-4f + 1.3981999507e-3f;
+  p = p * r + 8.3334519073e-3f;
+  p = p * r + 4.1665795894e-2f;
+  p = p * r + 1.6666665459e-1f;
+  p = p * r + 5.0000001201e-1f;
+  const VecF e = p * (r * r) + r + 1.0f;
+  // 2^n: n sits in t's low mantissa bits. Unsigned lanes keep the bit
+  // arithmetic defined for every input, NaN and ±inf included.
+  const VecU bits = ((VecU)t - (VecU)magic + 127u) << 23;
+  VecF y = e * (VecF)bits;
+  y = x < zero + kExpLo ? zero : y;
+  y = x > zero + kExpHi ? zero + __builtin_inff() : y;
+  v = y;
+}
+
+// Fused attention: out = softmax(scale · q kᵀ [+ mask]) · v for every
+// (batch, head) slice. q is [batch, sq, heads·dk] and k [batch, sk,
+// heads·dk]; v is [batch, sk, heads·dv] and out [batch, sq, heads·dv];
+// head h reads and writes its own column block of every row, so the head
+// split/merge transposes of a multi-head layer never materialize. mask
+// (when non-null) is an additive [sq, sk] matrix shared by every slice.
+// probs (when non-null) receives the probabilities [batch, heads, sq,
+// sk] — the autograd rule's saved state; writing them changes no output
+// bit.
+//
+// Layout and blocking: each work item is one slice and a block of up to
+// kVecLanes queries, one query per vector lane. The item keeps its
+// scores as [sk][kVecLanes] on the stack, so the score dot products, the
+// softmax (max, ExpVec, sum, normalize) and the probability-weighted sum
+// over v are all lane-wise vector loops over keys; no horizontal
+// reduction, no scalar remainder loop (padding lanes hold zeros and are
+// never stored). A query's result therefore depends only on its own q
+// row and its slice's k, v and mask — not on its lane, its block, the
+// batch it shares, the thread count, or whether probs is written — which
+// is what makes batched ≡ serial, plan ≡ module and taped ≡ untaped hold
+// by construction. Allocates nothing; sk <= kAttentionMaxKeys bounds the
+// stack block (256 KiB).
+inline constexpr int64_t kAttentionMaxKeys = 4096;
+void AttentionRows(const float* q, const float* k, const float* v,
+                   float* out, float* probs, int64_t batch, int64_t heads,
+                   int64_t sq, int64_t sk, int64_t dk, int64_t dv,
+                   float scale, const float* mask);
+
 // Informer's ProbSparse query selection over attention scores [b, s, s]:
 // mask [b, s] is 1 on the u rows of each sample with the largest
 // max - mean sparsity measure and 0 elsewhere.

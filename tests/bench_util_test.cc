@@ -8,6 +8,7 @@
 #include "bench_util/table_printer.h"
 #include "data/synthetic.h"
 #include "models/dlinear.h"
+#include "models/factory.h"
 
 namespace lipformer {
 namespace {
@@ -73,6 +74,37 @@ TEST(ProfilerTest, CountsParamsMacsAndTime) {
   EXPECT_GT(profile.seconds_per_inference, 0.0);
   // Profiling must not leave MAC counting on.
   EXPECT_FALSE(MacCountingEnabled());
+
+  // Attention models: each attention charges Sq*Sk*(dk+dv) per head and
+  // sample (scores plus the probability-weighted sum), on top of its
+  // four projections.
+  ModelOptions opts;
+  opts.patch_len = 12;
+  opts.hidden_dim = 16;
+  opts.num_heads = 4;
+  opts.num_layers = 1;
+  opts.dropout = 0.0f;
+  {
+    std::unique_ptr<Forecaster> lipf = CreateModel("lipformer", dims, opts);
+    // B = b*c = 8 channel sequences; n = 4 patches of pl = 12, hd = 16,
+    // nt = 1 target patch.
+    const int64_t bc = 8, n = 4, pl = 12, hd = 16, nt = 1;
+    const int64_t cross = 4 * pl * n * n + pl * pl * (n + n) + n * pl * hd;
+    const int64_t inter = 4 * n * hd * hd + n * n * (hd + hd);
+    const int64_t heads = hd * n * nt + nt * hd * pl;
+    EXPECT_EQ(ProfileModel(lipf.get(), data, 4).macs,
+              bc * (cross + inter + heads));
+  }
+  {
+    std::unique_ptr<Forecaster> tf = CreateModel("transformer", dims, opts);
+    // b = 4 windows of T = 48 tokens, d = 16, one layer with a 4d FFN,
+    // a head d -> pred_len * channels.
+    const int64_t b = 4, t = 48, c = 2, d = 16, out = 12 * 2;
+    const int64_t layer =
+        4 * t * d * d + t * t * (d + d) + t * d * 4 * d + t * 4 * d * d;
+    EXPECT_EQ(ProfileModel(tf.get(), data, 4).macs,
+              b * (t * c * d + layer + d * out));
+  }
 }
 
 TEST(BenchEnvTest, DefaultsAndFullPreset) {

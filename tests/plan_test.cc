@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/thread_pool.h"
 #include "serve/arena.h"
 #include "serve/batcher.h"
 #include "serve/quantize.h"
@@ -112,6 +113,69 @@ void ExpectServingContracts(const std::string& bundle,
                      : 1));  // batch-1 plan precompiled at Open
 }
 
+// Restores the tensor thread count on scope exit.
+class ThreadCountGuard {
+ public:
+  ThreadCountGuard() : saved_(GetNumThreads()) {}
+  ~ThreadCountGuard() { SetNumThreads(saved_); }
+  int saved() const { return saved_; }
+
+ private:
+  int saved_;
+};
+
+// The thread-count leg of the mode matrix: for b in {1, 3, 16}, the
+// session's answers at one and at four tensor threads are bitwise equal
+// to its answers at the default thread count.
+void ExpectThreadCountInvariance(const std::string& bundle) {
+  SCOPED_TRACE(bundle);
+  auto opened = serve::InferenceSession::Open(bundle);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  serve::InferenceSession* session = opened.value().get();
+  const ThreadCountGuard guard;
+  uint64_t seed = 950;
+  for (const int64_t b : {1, 3, 16}) {
+    SetNumThreads(guard.saved());
+    const Tensor histories =
+        RandomTensor({b, session->input_len(), session->channels()}, seed++);
+    auto want = session->PredictBatch(histories);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    for (const int threads : {1, 4}) {
+      SetNumThreads(threads);
+      auto got = session->PredictBatch(histories);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_TRUE(BitwiseEqual(got.value(), want.value()))
+          << threads << " threads vs default, batch size " << b;
+    }
+  }
+}
+
+// A served plan performs exactly the multiply-accumulates the eager
+// forward charges: Σ PlanOp::macs of the batch-1 plan, the MAC counter
+// over one plan execution, and the counter over one module forward agree.
+void ExpectPlanMacsMatchEager(const std::string& bundle) {
+  SCOPED_TRACE(bundle);
+  auto opened = serve::InferenceSession::Open(bundle);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  std::shared_ptr<const serve::InferencePlan> plan =
+      opened.value()->PlanForBatch(1);
+  ASSERT_NE(plan, nullptr);
+  ModuleOracle oracle(bundle);
+  const Tensor x = RandomTensor(plan->input_shape(), 960);
+  ResetMacCount();
+  SetMacCountingEnabled(true);
+  (void)oracle.Forward(x);
+  const int64_t eager = MacCount();
+  ResetMacCount();
+  (void)plan->Execute(x);
+  const int64_t executed = MacCount();
+  SetMacCountingEnabled(false);
+  ResetMacCount();
+  EXPECT_GT(eager, 0);
+  EXPECT_EQ(plan->stats().macs, eager);
+  EXPECT_EQ(executed, eager);
+}
+
 class PlanTest : public ::testing::Test {
  protected:
   // Same small-but-real LiPFormer bundle the session tests use:
@@ -167,9 +231,11 @@ TEST_F(PlanTest, CompilesForLipformerBundleAtOpen) {
   EXPECT_EQ(stats.plan.batch_size, 1);
   EXPECT_GT(stats.plan.num_ops, 0);
   EXPECT_GE(stats.plan.num_traced, stats.plan.num_ops);
-  EXPECT_GT(stats.plan.num_elided, 0);  // head split/merge, full slices
-  // num_heads > 1 makes the attention head-split permutes non-identity;
-  // all of them feed GEMM operands and must fold into the pack phase.
+  // One target patch makes the [B, hd, 1] -> [B, 1, hd] transpose an
+  // identity copy.
+  EXPECT_GT(stats.plan.num_elided, 0);
+  // The [B, n, hd] -> [B, hd, n] transpose feeding the patch head folds
+  // into that GEMM's pack phase.
   EXPECT_GT(stats.plan.fused_gemm_operands, 0);
   EXPECT_GT(stats.plan.arena_bytes, 0);
   EXPECT_GT(stats.plan.num_constants, 0);
@@ -219,8 +285,18 @@ TEST_F(PlanTest, OddShapesBitwiseMatchModulePath) {
 // Model inventory: every registered model must plan-compile and keep the
 // serving contracts, at the small test config, at a paper-scale 96 -> 24
 // config over 7 channels, and with 3 future covariates (TiDE's constant
-// channel-tiling gather).
+// channel-tiling gather). The mode matrix on top: every bundle the
+// quantizer accepts keeps the same contracts as int8, and at both 96 -> 24
+// configs answers do not depend on the tensor thread count and the plan
+// charges the eager MAC count.
 TEST(PlanInventoryTest, EveryRegisteredModelServesFromAPlan) {
+  // Bundles the quantizer refuses with InvalidArgument: at the small
+  // config (hidden 8) only TSMixer has a Linear at the int8 size floor.
+  const std::vector<std::string> int8_refused = {
+      "lipformer@24x6x2", "dlinear@24x6x2",   "patchtst@24x6x2",
+      "transformer@24x6x2", "itransformer@24x6x2", "timemixer@24x6x2",
+      "tide@24x6x2",      "informer@24x6x2",  "autoformer@24x6x2",
+      "fgnn@24x6x2"};
   struct Config {
     const char* tag;
     ForecasterDims dims;
@@ -256,6 +332,27 @@ TEST(PlanInventoryTest, EveryRegisteredModelServesFromAPlan) {
                       .ok());
       // 3 batch sizes x 3 fresh inputs: 9 plan-vs-module comparisons.
       ExpectServingContracts(path, {1, 3, 16}, /*inputs_per_size=*/3);
+
+      const std::string id = name + "@" + config.tag;
+      const std::string int8 = FreshTempPath(
+          "inventory_" + name + "_" + config.tag + "_int8.ckpt");
+      const Status quantized =
+          serve::QuantizeBundleFile(path, int8, /*force=*/false);
+      const bool refusal_expected =
+          std::count(int8_refused.begin(), int8_refused.end(), id) != 0;
+      if (quantized.ok()) {
+        EXPECT_FALSE(refusal_expected) << id << " quantized";
+        ExpectServingContracts(int8, {1, 3, 16});
+      } else {
+        EXPECT_TRUE(refusal_expected) << quantized.ToString();
+        EXPECT_EQ(quantized.code(), StatusCode::kInvalidArgument)
+            << quantized.ToString();
+      }
+
+      if (config.dims.input_len == 96) {
+        ExpectThreadCountInvariance(path);
+        ExpectPlanMacsMatchEager(path);
+      }
     }
   }
 }
