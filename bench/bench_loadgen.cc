@@ -548,16 +548,7 @@ int Run(int argc, char** argv) {
     return 1;
   }
 
-  // Warm every batch size: the session compiles one plan per batch size
-  // on first use, and a compile storm on the measured path would distort
-  // the no-fault baseline.
   serve::InferenceSession* session = registry.Find(name)->session();
-  for (int64_t k = 1; k <= kMaxBatch; ++k) {
-    if (!session->PredictBatch(BatchOf(windows, k)).ok()) {
-      std::fprintf(stderr, "warmup predict failed\n");
-      return 1;
-    }
-  }
 
   // Calibrate this box: the overload must exceed what batching can
   // serve, not just the serial rate (on a multicore box the batch

@@ -4,8 +4,9 @@
 # the checkpoint/snapshot serialization code stays UB-free. The suite
 # includes the AOT inference-plan tests (tests/plan_test.cc); under
 # `thread`, PlanTest.ManyThreadsShareOnePlan hammers one immutable
-# compiled plan from 8 threads, which is the race check for the
-# plan-shared / arena-per-request contract of serve/plan.h. The plan
+# compiled plan from 8 threads, with single windows and with batches of
+# 3 and 16 whose rows share the thread pool, which is the race check for
+# the plan-shared / slab-per-row contract of serve/plan.h. The plan
 # suite also covers every registered model's plan, including the
 # data-dependent kIndexSelect / kProbSparseMask / kTimeDelayAggregate
 # kernels and the fused kAttention kernel
@@ -20,7 +21,8 @@
 # interleaved lifetimes, same-size reuse, alignment, overlap detection),
 # so sanitizers see the fused and unfused kernels and the allocator edge
 # paths too, and the storage pool's steady-state allocation budget
-# (AllocationContractTest.*) runs instrumented. Under `address`,
+# (AllocationContractTest.*, plan serving at 1 and 4 threads) runs
+# instrumented. Under `address`,
 # AttentionKernelTest.RawKernelMatchesComposedChainOnExactBuffers and
 # NanReachesTheRowsThatReadIt call raw::AttentionRows on exactly sized
 # std::vector buffers over the registry's attention shapes, so ASan sees

@@ -165,16 +165,6 @@ const OptionSpec* FindOptionSpec(const std::string& key) {
 
 }  // namespace
 
-// Thin wrappers over the shared strict parsers (common/parse.h), kept so
-// existing cli:: call sites and tests are untouched.
-bool ParseInt64(const std::string& s, int64_t* out) {
-  return lipformer::ParseInt64(s, out);
-}
-
-bool ParseDouble(const std::string& s, double* out) {
-  return lipformer::ParseDouble(s, out);
-}
-
 std::string CliArgs::Get(const std::string& key,
                          const std::string& def) const {
   auto it = options.find(key);
@@ -661,34 +651,34 @@ bool ParseRequestValues(const std::string& csv, int64_t expected,
 namespace {
 
 // Startup banner for one model's compiled plan.
-void PrintPlanBanner(const serve::SessionPlanStats& ps) {
+void PrintPlanBanner(const serve::PlanStats& stats) {
   std::fprintf(stderr,
                "inference plan: %lld ops, %lld-byte arena, %lld "
                "constants, %lld prepacked GEMMs, %lld fused "
                "transposes\n",
-               static_cast<long long>(ps.plan.num_ops),
-               static_cast<long long>(ps.plan.arena_bytes),
-               static_cast<long long>(ps.plan.num_constants),
-               static_cast<long long>(ps.plan.prepacked_gemms),
-               static_cast<long long>(ps.plan.fused_gemm_operands));
+               static_cast<long long>(stats.num_ops),
+               static_cast<long long>(stats.arena_bytes),
+               static_cast<long long>(stats.num_constants),
+               static_cast<long long>(stats.prepacked_gemms),
+               static_cast<long long>(stats.fused_gemm_operands));
   std::fprintf(stderr,
                "inference plan: fusion %lld GEMM epilogues, %lld "
                "elementwise chains (%lld ops), %lld passes "
                "eliminated, %lld arena bytes saved\n",
-               static_cast<long long>(ps.plan.fused_epilogues),
-               static_cast<long long>(ps.plan.fused_chains),
-               static_cast<long long>(ps.plan.fused_chain_ops),
-               static_cast<long long>(ps.plan.passes_eliminated),
-               static_cast<long long>(ps.plan.arena_saved_bytes));
+               static_cast<long long>(stats.fused_epilogues),
+               static_cast<long long>(stats.fused_chains),
+               static_cast<long long>(stats.fused_chain_ops),
+               static_cast<long long>(stats.passes_eliminated),
+               static_cast<long long>(stats.arena_saved_bytes));
 }
 
-// Exit summary of one model's plans (the request count is on the
-// model's "served" line): plans compiled and the per-op-kind profile.
+// Exit summary of one model's plan (the request count is on the model's
+// "served" line): the per-op-kind profile.
 void PrintPlanSummary(const std::string& name,
-                      const serve::SessionPlanStats& ps) {
-  std::fprintf(stderr, "plan '%s': %lld plan(s) compiled\n", name.c_str(),
-               static_cast<long long>(ps.plans_compiled));
-  for (const serve::PlanOpTiming& t : ps.timings) {
+                      const serve::InferencePlan& plan) {
+  std::fprintf(stderr, "plan '%s': op time by kind, summed over rows\n",
+               name.c_str());
+  for (const serve::PlanOpTiming& t : plan.OpTimings()) {
     std::fprintf(stderr, "plan:   %-22s %s calls  %s\n", t.name,
                  FormatCount(static_cast<double>(t.calls)).c_str(),
                  FormatSeconds(static_cast<double>(t.total_ns) * 1e-9)
@@ -878,7 +868,7 @@ int CmdServe(const CliArgs& args) {
         static_cast<long long>(session->channels()),
         multi ? ("'" + name + "|' then ").c_str() : "",
         static_cast<long long>(session->input_len() * session->channels()));
-    PrintPlanBanner(session->plan_stats());
+    PrintPlanBanner(session->PlanForBatch(1)->stats());
     session->SetPlanProfiling(true);
   }
 
@@ -1093,7 +1083,7 @@ int CmdServe(const CliArgs& args) {
     (void)path;
     std::shared_ptr<serve::ServingModel> model = registry.Find(name);
     if (model != nullptr) {
-      PrintPlanSummary(name, model->session()->plan_stats());
+      PrintPlanSummary(name, *model->session()->PlanForBatch(1));
     }
   }
   return 0;

@@ -18,12 +18,6 @@
 namespace lipformer {
 namespace cli {
 
-// Strict number parsing: the whole string must be consumed. Used by
-// ValidateArgs so `--batch=abc` is a usage error instead of silently
-// becoming 0 (the old atoll behaviour) and crashing later.
-bool ParseInt64(const std::string& s, int64_t* out);
-bool ParseDouble(const std::string& s, double* out);
-
 struct CliArgs {
   std::string command;
   std::map<std::string, std::string> options;

@@ -28,9 +28,11 @@ namespace lipformer {
 // participates, so a pool with W workers gives W+1-way parallelism.
 // Concurrent Run calls from different threads are safe: every chunk of a
 // job is claimed and executed by some thread (at minimum the job's own
-// caller), workers just help whichever job is most recent. Nested
-// ParallelFor is not supported and falls back to serial via an
-// in-parallel-region flag in thread_pool.cc.
+// caller), workers just help whichever job is most recent. A nested
+// ParallelFor runs inline on its thread (an in-parallel-region flag in
+// thread_pool.cc), and serving relies on it: a compiled plan spreads the
+// rows of a batch over the pool, and each row's kernels then run serially
+// on that row's thread (serve/plan.h).
 class ThreadPool {
  public:
   // Spawns `num_workers` worker threads (0 is valid: Run degenerates to a
@@ -95,7 +97,7 @@ int GetNumThreads();
 // (boundaries depend only on n, grain and GetNumThreads()) and runs
 // body(begin, end) for each chunk across the global pool. Runs
 // body(0, n) inline when n <= grain, when only one thread is configured,
-// or when already inside a parallel region (no nesting).
+// or when already inside a parallel region (nesting runs inline).
 void ParallelFor(int64_t n, int64_t grain,
                  const std::function<void(int64_t, int64_t)>& body);
 

@@ -58,6 +58,11 @@ std::future<Result<Tensor>> Batcher::Submit(
         ShapeToString(history.shape())));
     return rejected_future;
   }
+  if (!RowAllFinite(history.data(), history.numel())) {
+    rejected.set_value(Status::InvalidArgument(
+        "Submit got a non-finite history value (NaN or inf)"));
+    return rejected_future;
+  }
 
   Request request;
   request.history = std::move(history);

@@ -15,10 +15,9 @@
 
 // Dynamic micro-batching for the inference session. Concurrent callers
 // submit single windows; a worker thread coalesces whatever is queued
-// into one batched Forward (up to max_batch_size, waiting at most
-// max_delay for stragglers), which amortizes per-forward overhead and
-// lets the tensor kernels parallelize across the batch instead of
-// serializing many tiny forwards behind the session mutex.
+// into one PredictBatch call (up to max_batch_size, waiting at most
+// max_delay for stragglers), which spreads the batch's rows over the
+// tensor thread pool instead of running one window after another.
 //
 // Semantics:
 //  - Backpressure: Submit on a full queue fails fast with
@@ -118,8 +117,10 @@ class Batcher {
   // submit in kReject mode, breaker open, or shut down), Overloaded
   // (admission control shed; message carries a retry-after hint),
   // DeadlineExceeded (deadline hit before execution), Internal (the
-  // model produced a non-finite forecast), or an InvalidArgument from
-  // shape validation. deadline: zero means none. In kBlock mode a full
+  // model produced a non-finite forecast), or an InvalidArgument for a
+  // wrong shape or a non-finite history value — rejected before admission
+  // control and the breaker, so bad client input never counts as a model
+  // failure. deadline: zero means none. In kBlock mode a full
   // queue blocks the caller until the worker frees a slot, the request's
   // deadline passes, or the batcher shuts down.
   std::future<Result<Tensor>> Submit(

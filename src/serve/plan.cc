@@ -9,8 +9,10 @@
 #include <utility>
 
 #include "common/logging.h"
+#include "common/thread_pool.h"
 #include "serve/arena.h"
 #include "tensor/gemm.h"
+#include "tensor/ops.h"
 #include "tensor/ops_raw.h"
 #include "tensor/storage_pool.h"
 
@@ -207,7 +209,7 @@ Status ValidateBitwise(const InferencePlan& plan, const Tensor& module_out,
                       sizeof(float)) != 0) {
     return Status::Internal(std::string("compiled plan is not bitwise "
                                         "identical to the module forward (") +
-                            which + " input)");
+                            which + ")");
   }
   return Status::OK();
 }
@@ -216,8 +218,13 @@ Status ValidateBitwise(const InferencePlan& plan, const Tensor& module_out,
 
 Result<std::shared_ptr<const InferencePlan>> InferencePlan::Compile(
     const ForwardFn& forward, const Tensor& sample_input,
-    const Tensor& check_input) {
-  LIPF_CHECK(SameShape(sample_input.shape(), check_input.shape()));
+    const Tensor& check_batch) {
+  LIPF_CHECK(sample_input.dim() >= 1 && sample_input.size(0) == 1)
+      << "plans trace one row, got " << ShapeToString(sample_input.shape());
+  Shape check_row = check_batch.shape();
+  LIPF_CHECK(!check_row.empty() && check_row[0] >= 2);
+  check_row[0] = 1;
+  LIPF_CHECK(SameShape(sample_input.shape(), check_row));
 
   auto plan = std::shared_ptr<InferencePlan>(new InferencePlan());
   plan->input_shape_ = sample_input.shape();
@@ -233,6 +240,11 @@ Result<std::shared_ptr<const InferencePlan>> InferencePlan::Compile(
     return Status::Internal("model is not plan-compilable: op '" +
                             recorder.unsupported() +
                             "' has no plan op kind (tensor/op_trace.h)");
+  }
+  if (traced_out.dim() == 0 || traced_out.size(0) != 1) {
+    return Status::Internal(
+        "a plan serves one row at a time, but the forward maps one row to " +
+        ShapeToString(traced_out.shape()));
   }
   plan->output_shape_ = traced_out.shape();
 
@@ -449,8 +461,6 @@ Result<std::shared_ptr<const InferencePlan>> InferencePlan::Compile(
   plan->stats_.num_traced =
       static_cast<int64_t>(recorder.records().size());
   plan->stats_.num_ops = static_cast<int64_t>(plan->ops_.size());
-  plan->stats_.batch_size =
-      sample_input.dim() > 0 ? sample_input.size(0) : 1;
 
   // ---- Output location ----
   int64_t output_vid = -1;
@@ -879,45 +889,61 @@ Result<std::shared_ptr<const InferencePlan>> InferencePlan::Compile(
         static_cast<int64_t>(buf.size() * sizeof(float));
   }
 
-  // ---- Validate: bitwise equality on the trace input, then on a second,
-  // different input. The second run catches any input-dependent value
-  // that escaped tracing and was wrongly frozen as a constant — such a
-  // plan reproduces the traced forward exactly but diverges on fresh
-  // data. (Execute itself never records: the raw kernels carry no hooks.)
+  // ---- Validate: bitwise equality on the trace input, on a second,
+  // different row, and on a batch of distinct rows. The second row catches
+  // any input-dependent value that escaped tracing and was wrongly frozen
+  // as a constant — such a plan reproduces the traced forward exactly but
+  // diverges on fresh data. The batch runs row by row, so it catches a
+  // forward whose rows interact (a reduction over the batch dim, say).
+  // (Execute itself never records: the raw kernels carry no hooks.)
   LIPF_RETURN_IF_ERROR(
-      ValidateBitwise(*plan, traced_out, sample_input, "trace"));
-  recorder_holder.reset();  // hook-free module run below
-  Tensor check_out = forward(check_input);
+      ValidateBitwise(*plan, traced_out, sample_input, "trace input"));
+  recorder_holder.reset();  // hook-free module runs below
+  const Tensor fresh = Slice(check_batch, 0, 0, 1);
   LIPF_RETURN_IF_ERROR(
-      ValidateBitwise(*plan, check_out, check_input, "fresh"));
+      ValidateBitwise(*plan, forward(fresh), fresh, "fresh input"));
+  LIPF_RETURN_IF_ERROR(ValidateBitwise(
+      *plan, forward(check_batch), check_batch,
+      "a batch served row by row: the forward mixes rows"));
   return std::shared_ptr<const InferencePlan>(plan);
 }
 
 Tensor InferencePlan::Execute(const Tensor& input) const {
-  LIPF_CHECK(SameShape(input.shape(), input_shape_))
-      << "plan compiled for " << ShapeToString(input_shape_) << ", got "
+  Shape row_shape = input.shape();
+  const int64_t rows = row_shape.empty() ? 0 : row_shape[0];
+  if (rows > 0) row_shape[0] = 1;
+  LIPF_CHECK(rows > 0 && SameShape(row_shape, input_shape_))
+      << "plan serves rows of " << ShapeToString(input_shape_) << ", got "
       << ShapeToString(input.shape());
   executions_.fetch_add(1, std::memory_order_relaxed);
 
-  // One pooled slab per request is the only allocation on this path.
-  Storage slab = Storage::Acquire(arena_floats_);
-  float* base = slab.data();
-  if (input_off_ >= 0) {
-    std::memcpy(base + input_off_, input.data(),
-                static_cast<size_t>(input.numel()) * sizeof(float));
-  }
-
-  ExecutePlanProgram(
-      ops_, base,
-      profiling_.load(std::memory_order_relaxed) ? &profile_ : nullptr);
-
-  Tensor out = Tensor::Empty(output_shape_);
-  const float* src = output_const_ != nullptr
-                         ? output_const_
-                         : base + (output_is_input_ ? input_off_
-                                                    : output_off_);
-  std::memcpy(out.data(), src,
-              static_cast<size_t>(out.numel()) * sizeof(float));
+  Shape out_shape = output_shape_;
+  out_shape[0] = rows;
+  Tensor out = Tensor::Empty(out_shape);
+  const int64_t in_row = input.numel() / rows;
+  const int64_t out_row = out.numel() / rows;
+  PlanProfile* profile =
+      profiling_.load(std::memory_order_relaxed) ? &profile_ : nullptr;
+  // Each thread leases one pooled slab for its run of rows — the only
+  // allocation on this path. At b >= 2 a row's kernels run inline on its
+  // thread (nested ParallelFor); a lone row gets the whole pool.
+  ParallelFor(rows, 1, [&](int64_t begin, int64_t end) {
+    Storage slab = Storage::Acquire(arena_floats_);
+    float* base = slab.data();
+    for (int64_t r = begin; r < end; ++r) {
+      if (input_off_ >= 0) {
+        std::memcpy(base + input_off_, input.data() + r * in_row,
+                    static_cast<size_t>(in_row) * sizeof(float));
+      }
+      ExecutePlanProgram(ops_, base, profile);
+      const float* src = output_const_ != nullptr
+                             ? output_const_
+                             : base + (output_is_input_ ? input_off_
+                                                        : output_off_);
+      std::memcpy(out.data() + r * out_row, src,
+                  static_cast<size_t>(out_row) * sizeof(float));
+    }
+  });
   return out;
 }
 

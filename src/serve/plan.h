@@ -5,7 +5,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -13,9 +12,10 @@
 #include "tensor/tensor.h"
 
 // Ahead-of-time inference plans. Serving shapes are static per bundle, so
-// InferenceSession traces the model's forward ONCE per batch size and
-// compiles the trace into a flat op program plus a preplanned activation
-// arena:
+// InferenceSession traces the model's forward ONCE, for a single input row
+// ([1, ...]), and compiles the trace into a flat op program plus a
+// preplanned activation arena. That one program serves every batch size:
+// forecast windows never interact, so a batch runs it once per row.
 //
 //   * Trace. A trace::Recorder (tensor/op_trace.h) captures every forward
 //     kernel invocation with its resolved dims and operand pointers.
@@ -42,19 +42,21 @@
 //   * Arena. Each activation gets a [def, last_use] interval; a first-fit
 //     allocator with hole coalescing lays all of them out in one slab
 //     (offsets 64-byte aligned). Execution leases one pooled slab per
-//     request — every intermediate of the forward costs zero pool
-//     lookups.
+//     concurrently running row — every intermediate of the forward costs
+//     zero pool lookups.
 //   * Prepack. Constant B operands of fp32 GEMMs are packed into panel
 //     layout once at compile time (PackGemmB); the hot path runs the
 //     compute phase only. Quantized Linears keep their prepacked int8
 //     weights and get arena scratch for activation quantization.
 //   * Validate. The compiled program is executed against the module
-//     forward on the trace input AND on a second, different input;
-//     outputs must match bitwise (memcmp). The second input catches any
-//     input-dependent value that escaped tracing and was wrongly frozen
-//     as a constant. Ops the plan has no kind for (tensor/op_trace.h)
-//     poison the trace outright and compilation fails with a typed
-//     error, which the session reports instead of serving.
+//     forward on the trace input, on a second, different row, and on a
+//     batch of 3 distinct rows served row by row; outputs must match
+//     bitwise (memcmp). The second row catches any input-dependent value
+//     that escaped tracing and was wrongly frozen as a constant; the
+//     batch catches a forward whose rows interact, which row-by-row
+//     execution cannot serve. Ops the plan has no kind for
+//     (tensor/op_trace.h) poison the trace outright. Every failure is a
+//     typed error, which the session reports instead of serving.
 //
 // Plans are immutable after Compile and shareable across threads: the
 // only per-request state is the leased arena.
@@ -64,12 +66,11 @@ namespace serve {
 
 // Compile-time facts about one plan, for stats output and tests.
 struct PlanStats {
-  int64_t batch_size = 0;
   int64_t num_ops = 0;          // executable records
   int64_t num_traced = 0;       // records captured by the trace
   int64_t num_elided = 0;       // identity copies removed
   int64_t fused_gemm_operands = 0;  // permutes folded into GEMM packing
-  int64_t arena_floats = 0;     // per-request slab size
+  int64_t arena_floats = 0;     // per-row slab size
   int64_t arena_bytes = 0;
   int64_t num_constants = 0;    // captured constant tensors
   int64_t constant_bytes = 0;   // bytes the plan keeps alive (excl. weights)
@@ -95,37 +96,43 @@ struct PlanOpTiming {
 
 class InferencePlan {
  public:
-  // A module forward at the plan's fixed shapes: scaled input in, scaled
-  // prediction out. Called up to three times during Compile (once traced,
-  // twice for validation).
+  // A module forward at the plan's shapes: scaled input in, scaled
+  // prediction out. Called three times during Compile (once traced, twice
+  // more for validation).
   using ForwardFn = std::function<Tensor(const Tensor&)>;
 
-  // Traces `forward` at sample_input's shape and compiles it.
-  // check_input must have the same shape but different values; it drives
-  // the second bitwise validation run. Fails (Status::Internal) when the
-  // trace was poisoned by an uncompilable op, an operand cannot be
-  // classified, or either validation run is not bitwise identical to the
-  // module forward.
+  // Traces `forward` at sample_input's shape, one row [1, ...], and
+  // compiles it. check_batch holds n >= 2 distinct rows [n, ...] of the
+  // same row shape: its first row drives the fresh-input check, and the
+  // whole batch, served row by row, must equal `forward` on the batch.
+  // Fails (Status::Internal) when the trace was poisoned by an
+  // uncompilable op, an operand cannot be classified, the output has no
+  // leading row dim, or any validation run is not bitwise identical to
+  // the module forward.
   static Result<std::shared_ptr<const InferencePlan>> Compile(
       const ForwardFn& forward, const Tensor& sample_input,
-      const Tensor& check_input);
+      const Tensor& check_batch);
 
-  // Runs the program against a pooled arena slab. `input` must match the
-  // compile-time input shape (LIPF_CHECK — the session validated the
-  // request already). Thread-safe; bitwise identical to the module
-  // forward on the same input.
+  // Serves `input` = [b, ...] for any b >= 1 (the compile-time row shape
+  // otherwise; LIPF_CHECK — the session validated the request already):
+  // row r runs the program on a leased slab and lands in row r of the
+  // [b, ...] answer. Rows are spread over the tensor thread pool; a lone
+  // row gets the whole pool for its kernels. Thread-safe; bitwise
+  // identical to the module forward on the same input.
   Tensor Execute(const Tensor& input) const;
 
   const PlanStats& stats() const { return stats_; }
+  // Shapes of one row: [1, ...].
   const Shape& input_shape() const { return input_shape_; }
   const Shape& output_shape() const { return output_shape_; }
+  // Execute calls, whatever their row count.
   int64_t executions() const {
     return executions_.load(std::memory_order_relaxed);
   }
 
-  // Per-op-kind wall-clock accounting. Off by default (two clock reads
-  // per op); `lipformer_cli serve` and the traced runs and per-layer
-  // replays of benchmark/ turn it on.
+  // Per-op-kind wall-clock accounting, summed over rows and threads. Off
+  // by default (two clock reads per op); `lipformer_cli serve` and the
+  // traced runs and per-layer replays of benchmark/ turn it on.
   void set_profiling(bool enabled) const {
     profiling_.store(enabled, std::memory_order_relaxed);
   }

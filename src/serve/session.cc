@@ -334,18 +334,24 @@ Result<std::unique_ptr<InferenceSession>> InferenceSession::Open(
   auto session = std::unique_ptr<InferenceSession>(new InferenceSession());
   session->bundle_ = bundle.MoveValue();
 
-  // Precompile the dominant serving shape so the first request does not
-  // pay the (few-forwards) compile cost; larger batch sizes compile
-  // lazily on first sight. A model that does not compile cannot serve.
-  LIPF_RETURN_IF_ERROR(session->Plan(1).status());
+  // Trace and validation inputs only need distinct values — any
+  // fixed-seed noise exercises the graph. The traced forward is the whole
+  // module request path, so the plan covers the scaler arithmetic too.
+  // A model that does not compile cannot serve.
+  Rng rng(0x9e3779b97f4a7c15ull);
+  const int64_t in = session->input_len(), ch = session->channels();
+  Result<std::shared_ptr<const InferencePlan>> compiled =
+      InferencePlan::Compile(
+          [&session](const Tensor& x) { return session->bundle_.Forward(x); },
+          Tensor::Randn({1, in, ch}, rng), Tensor::Randn({3, in, ch}, rng));
+  if (!compiled.ok()) return compiled.status();
+  session->plan_ = compiled.MoveValue();
   {
     // Timed validation probe: one single-window plan execution. The
     // measurement seeds the batcher's admission-control cost EWMA so
     // shedding works from the very first request instead of waiting for
     // the estimate to warm up.
-    Rng rng(0x517cc1b727220a95ull);
-    Tensor sample = Tensor::Randn(
-        {1, session->input_len(), session->channels()}, rng);
+    Tensor sample = Tensor::Randn({1, in, ch}, rng);
     const auto probe_start = std::chrono::steady_clock::now();
     Result<Tensor> probe = session->PredictBatch(sample);
     if (!probe.ok()) return probe.status();
@@ -355,67 +361,6 @@ Result<std::unique_ptr<InferenceSession>> InferenceSession::Open(
             .count();
   }
   return session;
-}
-
-Result<std::shared_ptr<const InferencePlan>> InferenceSession::Plan(
-    int64_t b) {
-  std::lock_guard<std::mutex> lock(plan_mu_);
-  auto it = plans_.find(b);
-  if (it != plans_.end()) return it->second;
-
-  // Compile under plan_mu_ (rare, a handful of forwards); concurrent
-  // requests for other batch sizes briefly queue here, never on the hot
-  // path. Trace and validation inputs only need distinct values — any
-  // fixed-seed noise exercises the graph. The traced forward is the whole
-  // module request path, so a compiled plan covers the scaler arithmetic
-  // too.
-  Rng rng(0x9e3779b97f4a7c15ull ^ static_cast<uint64_t>(b));
-  const Shape in_shape{b, input_len(), channels()};
-  Tensor sample = Tensor::Randn(in_shape, rng);
-  Tensor check = Tensor::Randn(in_shape, rng);
-  Result<std::shared_ptr<const InferencePlan>> compiled =
-      InferencePlan::Compile(
-          [this](const Tensor& x) { return bundle_.Forward(x); }, sample,
-          check);
-  if (compiled.ok()) compiled.value()->set_profiling(plan_profiling_);
-  plans_.emplace(b, compiled);
-  return compiled;
-}
-
-std::shared_ptr<const InferencePlan> InferenceSession::PlanForBatch(
-    int64_t b) {
-  Result<std::shared_ptr<const InferencePlan>> plan = Plan(b);
-  return plan.ok() ? plan.value() : nullptr;
-}
-
-SessionPlanStats InferenceSession::plan_stats() const {
-  SessionPlanStats s;
-  std::lock_guard<std::mutex> lock(plan_mu_);
-  std::map<std::string, size_t> by_name;
-  for (const auto& [b, compiled] : plans_) {
-    if (!compiled.ok()) continue;
-    const InferencePlan& plan = *compiled.value();
-    if (s.plans_compiled == 0 || b == 1) s.plan = plan.stats();
-    s.plans_compiled += 1;
-    for (const PlanOpTiming& t : plan.OpTimings()) {
-      auto [it, fresh] = by_name.emplace(t.name, s.timings.size());
-      if (fresh) {
-        s.timings.push_back(t);
-      } else {
-        s.timings[it->second].calls += t.calls;
-        s.timings[it->second].total_ns += t.total_ns;
-      }
-    }
-  }
-  return s;
-}
-
-void InferenceSession::SetPlanProfiling(bool enabled) {
-  std::lock_guard<std::mutex> lock(plan_mu_);
-  plan_profiling_ = enabled;
-  for (const auto& [b, compiled] : plans_) {
-    if (compiled.ok()) compiled.value()->set_profiling(enabled);
-  }
 }
 
 Result<Tensor> InferenceSession::Predict(const Tensor& history) {
@@ -437,8 +382,7 @@ Result<Tensor> InferenceSession::PredictBatch(const Tensor& histories) {
         std::to_string(channels()) + "], got " +
         ShapeToString(histories.shape()));
   }
-  const int64_t b = histories.size(0);
-  if (b == 0) {
+  if (histories.size(0) == 0) {
     return Status::InvalidArgument("PredictBatch got an empty batch");
   }
 
@@ -450,12 +394,10 @@ Result<Tensor> InferenceSession::PredictBatch(const Tensor& histories) {
     std::this_thread::sleep_for(std::chrono::milliseconds(injected.delay_ms));
   }
 
-  // The compiled program is immutable, so this runs lock-free once the
-  // plan exists, bitwise identical to the module request path — scaler
-  // arithmetic included — as validated at compile time.
-  Result<std::shared_ptr<const InferencePlan>> plan = Plan(b);
-  if (!plan.ok()) return plan.status();
-  Tensor pred = plan.value()->Execute(histories);
+  // The compiled program is immutable, so this runs lock-free, bitwise
+  // identical to the module request path — scaler arithmetic included —
+  // as validated at compile time.
+  Tensor pred = plan_->Execute(histories);
   if (injected.poison_output) {
     float* data = pred.data();
     const int64_t n = pred.numel();

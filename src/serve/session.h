@@ -1,11 +1,8 @@
 #ifndef LIPFORMER_SERVE_SESSION_H_
 #define LIPFORMER_SERVE_SESSION_H_
 
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <vector>
 
 #include "data/scaler.h"
 #include "models/factory.h"
@@ -50,8 +47,8 @@ Status ParseBundleConfig(const Checkpoint& ckpt, const std::string& path,
                          ModelOptions* options);
 
 // The model and scaler a serving bundle describes, loaded and verified.
-// Forward is the module request path: InferenceSession traces its plans
-// from it and checks them against it, and tests use it as the oracle.
+// Forward is the module request path: InferenceSession traces its plan
+// from it and checks it against it, and tests use it as the oracle.
 struct BundleModel {
   std::string model_name;
   std::unique_ptr<Forecaster> model;
@@ -70,27 +67,18 @@ struct BundleModel {
 // its model and scaler.
 Result<BundleModel> LoadBundleModel(const std::string& path);
 
-// Plan observability for `lipformer_cli serve` stats and the plan.*
-// metrics of benchmark/ (aggregated over the session's per-batch-size
-// plan cache).
-struct SessionPlanStats {
-  int64_t plans_compiled = 0;    // distinct batch sizes compiled
-  PlanStats plan;                // batch-size-1 plan (or first compiled)
-  std::vector<PlanOpTiming> timings;  // summed across plans; profiling only
-};
-
-// A loaded bundle served through compiled plans (serve/plan.h): one plan
-// per batch size, traced from the module forward and memcmp-checked
-// against it at compile time. Safe for concurrent callers: a plan is an
-// immutable program executed against a per-request arena, so requests
-// run fully concurrently; the module forward runs only while a plan
-// compiles, under the plan-cache mutex. The dynamic batcher
-// (serve/batcher.h) coalesces concurrent requests into one batched plan.
+// A loaded bundle served through one compiled plan (serve/plan.h), traced
+// from the module forward at Open and memcmp-checked against it. The plan
+// serves every batch size row by row. Safe for concurrent callers: the
+// plan is an immutable program executed against per-row arenas, so
+// requests run fully concurrently, and the module forward runs only
+// inside Open. The dynamic batcher (serve/batcher.h) coalesces concurrent
+// requests into one PredictBatch call.
 class InferenceSession {
  public:
   // Reads a bundle written by SaveModelBundle, reconstructs the model and
-  // compiles the batch-size-1 plan. A model whose forward does not
-  // compile is a non-OK Status, never a slower path.
+  // compiles its plan. A model whose forward does not compile, or whose
+  // rows interact, is a non-OK Status, never a slower path.
   static Result<std::unique_ptr<InferenceSession>> Open(
       const std::string& path);
 
@@ -99,9 +87,9 @@ class InferenceSession {
 
   // histories: [b, input_len, channels] -> [b, pred_len, channels].
   // Row i of the result is bitwise identical to Predict(histories[i]):
-  // every kernel computes each output element with the same serial inner
-  // loop regardless of batch size (see common/thread_pool.h). The first
-  // batch of a new size compiles its plan; a compile failure is returned.
+  // the plan runs each row on its own, and every kernel computes each
+  // output element with the same serial inner loop regardless of thread
+  // count (see common/thread_pool.h).
   Result<Tensor> PredictBatch(const Tensor& histories);
 
   const std::string& model_name() const { return bundle_.model_name; }
@@ -119,27 +107,22 @@ class InferenceSession {
   // skipped.
   double probe_latency_seconds() const { return probe_latency_seconds_; }
 
-  // The compiled plan for batch size b, compiling (and caching) it on
-  // first use. Null when this batch size failed to compile.
-  std::shared_ptr<const InferencePlan> PlanForBatch(int64_t b);
-  // Aggregated plan counters; `timings` is populated while profiling.
-  SessionPlanStats plan_stats() const;
-  // Toggles per-op timing on every cached and future plan.
-  void SetPlanProfiling(bool enabled);
+  // The plan that serves a batch of b rows: the session's one plan for
+  // every b >= 1, null below that.
+  std::shared_ptr<const InferencePlan> PlanForBatch(int64_t b) const {
+    return b >= 1 ? plan_ : nullptr;
+  }
+  // Toggles per-op timing on the plan.
+  void SetPlanProfiling(bool enabled) { plan_->set_profiling(enabled); }
 
  private:
   InferenceSession() = default;
 
-  // PlanForBatch with the compile error kept. A failure is cached like a
-  // plan, so a batch size that cannot compile fails fast from then on.
-  Result<std::shared_ptr<const InferencePlan>> Plan(int64_t b);
-
-  BundleModel bundle_;  // the trace source; used only under plan_mu_
+  // The trace source, run only inside Open; it also owns the int8 weights
+  // the plan's quantized ops point at.
+  BundleModel bundle_;
+  std::shared_ptr<const InferencePlan> plan_;
   double probe_latency_seconds_ = 0;
-
-  mutable std::mutex plan_mu_;
-  std::map<int64_t, Result<std::shared_ptr<const InferencePlan>>> plans_;
-  bool plan_profiling_ = false;
 };
 
 }  // namespace serve

@@ -199,7 +199,6 @@ void Int8GemmBlocked(const int8_t* a, const Int8PackedWeight& w, int64_t m,
     std::memset(c, 0, sizeof(int32_t) * static_cast<size_t>(m * n));
     return;
   }
-  const int64_t npanels = CeilDiv(n, kGemmNR);
   const int64_t panel_bytes = KQuads(k) * kGemmNR * kInt8KUnroll;
   const int64_t mblocks = CeilDiv(m, kGemmMR);
   const int64_t block_macs = kGemmMR * n * k;

@@ -103,27 +103,29 @@ TEST(CliValidateTest, RejectsMalformedDouble) {
 }
 
 TEST(CliNumberParseTest, ParseInt64IsStrict) {
+  // The shared strict parsers (common/parse.h) behind ValidateArgs, so
+  // `--batch=abc` is a usage error instead of silently becoming 0.
   int64_t v = 0;
-  EXPECT_TRUE(ParseInt64("42", &v));
+  EXPECT_TRUE(lipformer::ParseInt64("42", &v));
   EXPECT_EQ(v, 42);
-  EXPECT_TRUE(ParseInt64("-7", &v));
+  EXPECT_TRUE(lipformer::ParseInt64("-7", &v));
   EXPECT_EQ(v, -7);
-  EXPECT_FALSE(ParseInt64("", &v));
-  EXPECT_FALSE(ParseInt64("12abc", &v));
-  EXPECT_FALSE(ParseInt64("abc", &v));
-  EXPECT_FALSE(ParseInt64("1.5", &v));
-  EXPECT_FALSE(ParseInt64("99999999999999999999", &v));  // overflow
+  EXPECT_FALSE(lipformer::ParseInt64("", &v));
+  EXPECT_FALSE(lipformer::ParseInt64("12abc", &v));
+  EXPECT_FALSE(lipformer::ParseInt64("abc", &v));
+  EXPECT_FALSE(lipformer::ParseInt64("1.5", &v));
+  EXPECT_FALSE(lipformer::ParseInt64("99999999999999999999", &v));  // overflow
 }
 
 TEST(CliNumberParseTest, ParseDoubleIsStrict) {
   double v = 0;
-  EXPECT_TRUE(ParseDouble("0.25", &v));
+  EXPECT_TRUE(lipformer::ParseDouble("0.25", &v));
   EXPECT_DOUBLE_EQ(v, 0.25);
-  EXPECT_TRUE(ParseDouble("1e-3", &v));
+  EXPECT_TRUE(lipformer::ParseDouble("1e-3", &v));
   EXPECT_DOUBLE_EQ(v, 1e-3);
-  EXPECT_FALSE(ParseDouble("", &v));
-  EXPECT_FALSE(ParseDouble("0.1x", &v));
-  EXPECT_FALSE(ParseDouble("nanx", &v));
+  EXPECT_FALSE(lipformer::ParseDouble("", &v));
+  EXPECT_FALSE(lipformer::ParseDouble("0.1x", &v));
+  EXPECT_FALSE(lipformer::ParseDouble("nanx", &v));
 }
 
 TEST(CliNumberParseTest, ParseFloatIsStrict) {

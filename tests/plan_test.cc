@@ -68,8 +68,8 @@ class ModuleOracle {
 };
 
 // The serving contracts for one bundle: Open succeeds; every batch size
-// compiles a plan; on `inputs_per_size` fresh inputs per batch size the
-// plan answer is bitwise equal to the module forward; and every row of a
+// has a plan; on `inputs_per_size` fresh inputs per batch size the plan
+// answer is bitwise equal to the module forward; and every row of a
 // batched answer is bitwise equal to the serial answer for that row.
 void ExpectServingContracts(const std::string& bundle,
                             const std::vector<int64_t>& batch_sizes,
@@ -104,13 +104,6 @@ void ExpectServingContracts(const std::string& bundle,
       }
     }
   }
-
-  const serve::SessionPlanStats stats = session->plan_stats();
-  EXPECT_EQ(stats.plans_compiled,
-            static_cast<int64_t>(batch_sizes.size()) +
-                (std::count(batch_sizes.begin(), batch_sizes.end(), 1)
-                     ? 0
-                     : 1));  // batch-1 plan precompiled at Open
 }
 
 // Restores the tensor thread count on scope exit.
@@ -151,7 +144,7 @@ void ExpectThreadCountInvariance(const std::string& bundle) {
 }
 
 // A served plan performs exactly the multiply-accumulates the eager
-// forward charges: Σ PlanOp::macs of the batch-1 plan, the MAC counter
+// forward charges: Σ PlanOp::macs of the plan, the MAC counter
 // over one plan execution, and the counter over one module forward agree.
 void ExpectPlanMacsMatchEager(const std::string& bundle) {
   SCOPED_TRACE(bundle);
@@ -225,26 +218,27 @@ TEST_F(PlanTest, CompilesForLipformerBundleAtOpen) {
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
   serve::InferenceSession* session = opened.value().get();
 
-  // Open precompiles the batch-1 plan.
-  const serve::SessionPlanStats stats = session->plan_stats();
-  EXPECT_EQ(stats.plans_compiled, 1);
-  EXPECT_EQ(stats.plan.batch_size, 1);
-  EXPECT_GT(stats.plan.num_ops, 0);
-  EXPECT_GE(stats.plan.num_traced, stats.plan.num_ops);
-  // One target patch makes the [B, hd, 1] -> [B, 1, hd] transpose an
-  // identity copy.
-  EXPECT_GT(stats.plan.num_elided, 0);
-  // The [B, n, hd] -> [B, hd, n] transpose feeding the patch head folds
-  // into that GEMM's pack phase.
-  EXPECT_GT(stats.plan.fused_gemm_operands, 0);
-  EXPECT_GT(stats.plan.arena_bytes, 0);
-  EXPECT_GT(stats.plan.num_constants, 0);
-  EXPECT_GT(stats.plan.prepacked_gemms, 0);
-
+  // Open compiles the session's one plan, and it serves every batch size.
   std::shared_ptr<const serve::InferencePlan> plan = session->PlanForBatch(1);
   ASSERT_NE(plan, nullptr);
+  EXPECT_EQ(session->PlanForBatch(3), plan);
+  EXPECT_EQ(session->PlanForBatch(16), plan);
+  EXPECT_EQ(session->PlanForBatch(0), nullptr);
   EXPECT_EQ(plan->input_shape(), (Shape{1, 24, 2}));
   EXPECT_EQ(plan->output_shape(), (Shape{1, 6, 2}));
+
+  const serve::PlanStats& stats = plan->stats();
+  EXPECT_GT(stats.num_ops, 0);
+  EXPECT_GE(stats.num_traced, stats.num_ops);
+  // One target patch makes the [B, hd, 1] -> [B, 1, hd] transpose an
+  // identity copy.
+  EXPECT_GT(stats.num_elided, 0);
+  // The [B, n, hd] -> [B, hd, n] transpose feeding the patch head folds
+  // into that GEMM's pack phase.
+  EXPECT_GT(stats.fused_gemm_operands, 0);
+  EXPECT_GT(stats.arena_bytes, 0);
+  EXPECT_GT(stats.num_constants, 0);
+  EXPECT_GT(stats.prepacked_gemms, 0);
 }
 
 TEST_F(PlanTest, Fp32BitwiseMatchesModulePath) {
@@ -394,12 +388,24 @@ TEST(PlanInventoryTest, AutoformerBatchedRowsMatchSerial) {
 TEST(PlanCompileTest, UnsupportedOpIsATypedError) {
   // A forward that reaches an op the plan has no kind for cannot be
   // served: compilation reports which op, and nothing falls back.
-  const Tensor x = RandomTensor({2, 5}, 3);
   auto compiled = serve::InferencePlan::Compile(
-      [](const Tensor& in) { return Pad(in, 1, 1, 1); }, x,
-      RandomTensor({2, 5}, 4));
+      [](const Tensor& in) { return Pad(in, 1, 1, 1); },
+      RandomTensor({1, 5}, 3), RandomTensor({3, 5}, 4));
   ASSERT_FALSE(compiled.ok());
   EXPECT_NE(compiled.status().message().find("'Pad'"), std::string::npos)
+      << compiled.status().ToString();
+}
+
+TEST(PlanCompileTest, ForwardThatMixesRowsIsATypedError) {
+  // A plan serves a batch one row at a time, so a forward whose rows
+  // interact cannot be served. Its trace compiles and passes the two
+  // one-row checks; the 3-row batch check rejects it.
+  auto compiled = serve::InferencePlan::Compile(
+      [](const Tensor& x) { return Add(x, Sum(x, 0, /*keepdim=*/true)); },
+      RandomTensor({1, 4}, 10), RandomTensor({3, 4}, 11));
+  ASSERT_FALSE(compiled.ok());
+  EXPECT_EQ(compiled.status().code(), StatusCode::kInternal);
+  EXPECT_NE(compiled.status().message().find("mixes rows"), std::string::npos)
       << compiled.status().ToString();
 }
 
@@ -415,17 +421,18 @@ TEST(PlanCompileTest, SharedGemmOutputKeepsAStandaloneBiasAct) {
     return Add(AddBiasAct(g, bias, FusedAct::kRelu), g);
   };
   auto compiled = serve::InferencePlan::Compile(
-      forward, RandomTensor({4, 8}, 7), RandomTensor({4, 8}, 8));
+      forward, RandomTensor({1, 8}, 7), RandomTensor({3, 8}, 8));
   ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
   const serve::InferencePlan& plan = *compiled.value();
   EXPECT_EQ(plan.stats().fused_epilogues, 0);
 
+  // Four rows: each op runs once per row.
   plan.set_profiling(true);
   const Tensor x = RandomTensor({4, 8}, 9);
   EXPECT_TRUE(BitwiseEqual(plan.Execute(x), forward(x)));
   std::vector<std::string> kinds;
   for (const serve::PlanOpTiming& t : plan.OpTimings()) {
-    EXPECT_EQ(t.calls, 1) << t.name;
+    EXPECT_EQ(t.calls, 4) << t.name;
     kinds.push_back(t.name);
   }
   std::sort(kinds.begin(), kinds.end());
@@ -435,7 +442,8 @@ TEST(PlanCompileTest, SharedGemmOutputKeepsAStandaloneBiasAct) {
 
 TEST_F(PlanTest, ManyThreadsShareOnePlan) {
   // The plan is immutable and runs lock-free; hammer one session from
-  // many threads and require every result bitwise-correct.
+  // many threads, single windows and whole batches whose rows share the
+  // thread pool, and require every result bitwise-correct.
   // check_sanitize.sh runs this under TSan.
   auto planned = serve::InferenceSession::Open(path_);
   ASSERT_TRUE(planned.ok());
@@ -444,11 +452,20 @@ TEST_F(PlanTest, ManyThreadsShareOnePlan) {
 
   const int kThreads = 8;
   const int kPerThread = 16;
+  const std::vector<int64_t> kBatchSizes = {3, 16};
   std::vector<Tensor> windows;
   std::vector<Tensor> expected;
   for (int i = 0; i < kThreads * kPerThread; ++i) {
     windows.push_back(RandomTensor({24, 2}, 500 + i));
     expected.push_back(oracle.Predict(windows.back()));
+  }
+  std::vector<Tensor> batches;
+  std::vector<Tensor> batch_expected;
+  for (int t = 0; t < kThreads; ++t) {
+    for (const int64_t b : kBatchSizes) {
+      batches.push_back(RandomTensor({b, 24, 2}, 800 + batches.size()));
+      batch_expected.push_back(oracle.Forward(batches.back()));
+    }
   }
 
   std::vector<int> mismatches(kThreads, 0);
@@ -462,6 +479,13 @@ TEST_F(PlanTest, ManyThreadsShareOnePlan) {
           ++mismatches[t];
         }
       }
+      for (size_t j = 0; j < kBatchSizes.size(); ++j) {
+        const size_t idx = t * kBatchSizes.size() + j;
+        auto got = session->PredictBatch(batches[idx]);
+        if (!got.ok() || !BitwiseEqual(got.value(), batch_expected[idx])) {
+          ++mismatches[t];
+        }
+      }
     });
   }
   for (auto& t : threads) t.join();
@@ -471,9 +495,11 @@ TEST_F(PlanTest, ManyThreadsShareOnePlan) {
 
   std::shared_ptr<const serve::InferencePlan> plan = session->PlanForBatch(1);
   ASSERT_NE(plan, nullptr);
-  // +3: Compile ran the program twice for bitwise validation, and Open's
-  // timed admission-control probe executed it once more.
-  EXPECT_EQ(plan->executions(), kThreads * kPerThread + 3);
+  // +4: Compile ran the program three times for bitwise validation, and
+  // Open's timed admission-control probe executed it once more.
+  EXPECT_EQ(plan->executions(),
+            kThreads * (kPerThread + static_cast<int>(kBatchSizes.size())) +
+                4);
 }
 
 TEST_F(PlanTest, BatcherServesConcurrentRequestsFromOnePlan) {
@@ -520,22 +546,23 @@ TEST_F(PlanTest, ProfilingReportsPerOpTimings) {
 
   // Off by default: no timings even after traffic.
   ASSERT_TRUE(session->Predict(RandomTensor({24, 2}, 60)).ok());
-  EXPECT_TRUE(session->plan_stats().timings.empty());
+  std::shared_ptr<const serve::InferencePlan> plan = session->PlanForBatch(1);
+  EXPECT_TRUE(plan->OpTimings().empty());
 
   session->SetPlanProfiling(true);
   for (int i = 0; i < 3; ++i) {
     ASSERT_TRUE(session->Predict(RandomTensor({24, 2}, 61 + i)).ok());
   }
-  const serve::SessionPlanStats stats = session->plan_stats();
-  ASSERT_FALSE(stats.timings.empty());
+  const std::vector<serve::PlanOpTiming> timings = plan->OpTimings();
+  ASSERT_FALSE(timings.empty());
   int64_t calls = 0;
-  for (const serve::PlanOpTiming& t : stats.timings) {
+  for (const serve::PlanOpTiming& t : timings) {
     EXPECT_NE(t.name, nullptr);
     EXPECT_GT(t.calls, 0);
     calls += t.calls;
   }
   // Three profiled executions of a fixed program.
-  EXPECT_EQ(calls, 3 * stats.plan.num_ops);
+  EXPECT_EQ(calls, 3 * plan->stats().num_ops);
 }
 
 // The fusion pass must actually fire on the default LiPFormer config:
@@ -546,18 +573,18 @@ TEST_F(PlanTest, ProfilingReportsPerOpTimings) {
 TEST_F(PlanTest, FusionFiresOnDefaultConfig) {
   auto opened = serve::InferenceSession::Open(path_);
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-  const serve::SessionPlanStats stats = opened.value()->plan_stats();
-  EXPECT_GE(stats.plan.fused_epilogues, 1);
-  EXPECT_GE(stats.plan.fused_chains, 1);
+  const serve::PlanStats& stats = opened.value()->PlanForBatch(1)->stats();
+  EXPECT_GE(stats.fused_epilogues, 1);
+  EXPECT_GE(stats.fused_chains, 1);
   // A chain absorbs at least two elementwise ops by construction.
-  EXPECT_GE(stats.plan.fused_chain_ops, 2 * stats.plan.fused_chains);
+  EXPECT_GE(stats.fused_chain_ops, 2 * stats.fused_chains);
   // Each absorbed epilogue op and each chained op beyond the first
   // removes one whole read-modify-write pass. (>= because one GEMM can
   // absorb both a bias and a residual and count once.)
-  EXPECT_GE(stats.plan.passes_eliminated,
-            stats.plan.fused_epilogues +
-                (stats.plan.fused_chain_ops - stats.plan.fused_chains));
-  EXPECT_GE(stats.plan.arena_saved_bytes, 0);
+  EXPECT_GE(stats.passes_eliminated,
+            stats.fused_epilogues +
+                (stats.fused_chain_ops - stats.fused_chains));
+  EXPECT_GE(stats.arena_saved_bytes, 0);
 }
 
 // ---------------------------------------------------------------------

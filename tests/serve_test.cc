@@ -6,6 +6,7 @@
 #include <cstring>
 #include <fstream>
 #include <future>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -793,6 +794,39 @@ TEST_F(SessionTest, BatcherRejectsWrongShapeImmediately) {
   auto r = f.get();
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+}
+
+// A NaN or inf in a client's window is bad input, not a model failure:
+// Submit rejects it up front, so no client can open the model's breaker
+// for everyone else by sending bad numbers.
+TEST_F(SessionTest, NonFiniteHistoryIsRejectedWithoutTrippingTheBreaker) {
+  auto opened = serve::InferenceSession::Open(path_);
+  ASSERT_TRUE(opened.ok());
+  serve::BatcherOptions options;
+  options.max_batch_size = 1;  // one request per batch: failures count 1:1
+  serve::Batcher batcher(opened.value().get(), options);
+
+  const float bad[] = {std::numeric_limits<float>::quiet_NaN(),
+                       std::numeric_limits<float>::infinity(),
+                       -std::numeric_limits<float>::infinity()};
+  for (int64_t i = 0; i < options.breaker.failure_threshold; ++i) {
+    Tensor window = RandomTensor({24, 2}, 1400 + i);
+    window.data()[i % window.numel()] = bad[i % 3];
+    auto f = batcher.Submit(window);
+    ASSERT_EQ(f.wait_for(std::chrono::seconds(0)), std::future_status::ready);
+    Result<Tensor> r = f.get();
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument)
+        << r.status().ToString();
+  }
+
+  Result<Tensor> clean = batcher.Submit(RandomTensor({24, 2}, 1450)).get();
+  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+  const serve::BatcherStats stats = batcher.Stats();
+  EXPECT_EQ(stats.breaker.trips, 0);
+  EXPECT_EQ(stats.breaker.state, serve::BreakerState::kClosed);
+  EXPECT_EQ(stats.nonfinite_answers, 0);
+  batcher.Shutdown();
 }
 
 // The serve loop's graceful shutdown (cli.cc CmdServe): SIGTERM flips the

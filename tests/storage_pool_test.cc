@@ -240,7 +240,8 @@ TEST(StoragePoolTest, ModelStepBitwiseIdenticalPoolOnVsOffAcrossThreads) {
 // the 96 -> 24 x 7-channel LiPFormer (patch 24, hidden 64, batch 8), a
 // train step acquires at most 477 storages and reaches the heap about
 // once, an eval forward acquires at most 197 and never reaches the heap,
-// and the plan-served Predict/PredictBatch never reach the heap. The
+// and the plan-served Predict/PredictBatch never reach the heap, at 1 and
+// at 4 threads. The
 // bounds are the measured per-step counts plus 0.5; a change that adds
 // tensors to a step has to raise them on purpose.
 
@@ -251,11 +252,11 @@ struct PoolTraffic {
   double heap_allocs_per_step = 0;
 };
 
-// Runs `step` once to warm the pool, then kMeasuredSteps times with the
-// counters reset, and returns the per-step traffic.
+// Runs `step` `warmup` times to warm the pool, then kMeasuredSteps times
+// with the counters reset, and returns the per-step traffic.
 template <typename Fn>
-PoolTraffic MeasurePoolTraffic(Fn step) {
-  step();
+PoolTraffic MeasurePoolTraffic(Fn step, int warmup = 1) {
+  for (int i = 0; i < warmup; ++i) step();
   ResetStoragePoolCounters();
   for (int i = 0; i < kMeasuredSteps; ++i) step();
   const StoragePoolStats stats = GetStoragePoolStats();
@@ -337,14 +338,23 @@ TEST_F(AllocationContractTest, PlanServingNeverReachesTheHeap) {
   const Tensor window = RandomTensor({dims.input_len, dims.channels}, 4);
   const Tensor batch =
       RandomTensor({16, dims.input_len, dims.channels}, 5);
-  bool ok = true;
-  const PoolTraffic single = MeasurePoolTraffic(
-      [&] { ok = session->Predict(window).ok() && ok; });
-  const PoolTraffic batched = MeasurePoolTraffic(
-      [&] { ok = session->PredictBatch(batch).ok() && ok; });
-  EXPECT_TRUE(ok);
-  EXPECT_EQ(single.heap_allocs_per_step, 0);
-  EXPECT_EQ(batched.heap_allocs_per_step, 0);
+  // At 4 threads up to 4 rows (or a lone row's GEMM chunks) run at once,
+  // each leasing its own slab and scratch. The pool parks as many blocks
+  // as the busiest call held, so warm up over enough calls to see that
+  // peak whatever the scheduling.
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    SetNumThreads(threads);
+    const int warmup = threads == 1 ? 1 : 20;
+    bool ok = true;
+    const PoolTraffic single = MeasurePoolTraffic(
+        [&] { ok = session->Predict(window).ok() && ok; }, warmup);
+    const PoolTraffic batched = MeasurePoolTraffic(
+        [&] { ok = session->PredictBatch(batch).ok() && ok; }, warmup);
+    EXPECT_TRUE(ok);
+    EXPECT_EQ(single.heap_allocs_per_step, 0);
+    EXPECT_EQ(batched.heap_allocs_per_step, 0);
+  }
 }
 
 }  // namespace
