@@ -261,10 +261,12 @@ class Phase {
     const double elapsed =
         std::chrono::duration<double>(last_completion_ - start).count();
     result_.goodput_rps = elapsed > 0 ? result_.completed / elapsed : 0;
-    if (latencies_.count() > 0) {
-      result_.p50_us = latencies_.Percentile(50.0) * 1e6;
-      result_.p99_us = latencies_.Percentile(99.0) * 1e6;
-      result_.p999_us = latencies_.Percentile(99.9) * 1e6;
+    std::vector<double> latencies = latencies_.samples();
+    if (!latencies.empty()) {
+      std::sort(latencies.begin(), latencies.end());
+      result_.p50_us = SortedPercentile(latencies, 50.0) * 1e6;
+      result_.p99_us = SortedPercentile(latencies, 99.0) * 1e6;
+      result_.p999_us = SortedPercentile(latencies, 99.9) * 1e6;
     }
     return result_;
   }

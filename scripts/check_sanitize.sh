@@ -35,7 +35,20 @@
 # (the kBlock producer path), and ModelRegistryTest.
 # SubmitsNeverFailAcrossReloadStorm, which races four kBlock client
 # threads against alternating good/corrupt hot-reload publishes — the
-# TSan check for the registry's shared_ptr swap protocol. The `chaos`
+# TSan check for the registry's shared_ptr swap protocol. The batcher's
+# work-conserving worker never waits for stragglers, so the tests that
+# need a request to sit in the queue pin the worker inside one forward
+# stalled by fault injection (500 ms, 2 s in the deadline test) and
+# submit behind it: SessionTest.WorkerTakesTheBacklogWithoutWaiting
+# (the backlog becomes one batch, memcmp'd against serial answers),
+# BatcherExpiresMissedDeadlines, ExpiredRequestsDoNotPinQueueCapacity,
+# BlockingSubmitUnblocksOnShutdown, QueueDelayCapShedsBacklogOnlyRequests
+# and BlockingSubmitRespectsDeadlineWhileWaitingForSpace; those stalls
+# are the margin an instrumented build needs. Under `undefined`,
+# CliMainTest.{Deadline,MaxQueueDelay,BreakerCooldown,ReloadPoll}
+# AboveOneDayReturnsUsageCode and MaxBatchAbove4096ReturnsUsageCode push
+# serve's numeric flags past their bounds, where the millisecond
+# conversions and the deadline arithmetic used to overflow. The `chaos`
 # ctest (scripts/check_chaos.sh) also runs here, driving bench_loadgen's
 # overload + fault-injection phases under the sanitizer; its goodput
 # floor is relaxed below (sanitizer builds gate the correctness

@@ -91,15 +91,12 @@ void LatencyRecorder::Record(double seconds) {
     samples_[static_cast<size_t>(next_)] = seconds;
   }
   next_ = (next_ + 1) % capacity_;
-  ++count_;
 }
 
-double LatencyRecorder::Percentile(double p) const {
-  if (samples_.empty()) {
+double SortedPercentile(const std::vector<double>& sorted, double p) {
+  if (sorted.empty()) {
     return std::numeric_limits<double>::quiet_NaN();
   }
-  std::vector<double> sorted = samples_;
-  std::sort(sorted.begin(), sorted.end());
   const double rank =
       (p / 100.0) * static_cast<double>(sorted.size() - 1);
   const size_t lo = static_cast<size_t>(rank);

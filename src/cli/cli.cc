@@ -53,8 +53,9 @@
 //                     process (a bare FILE is served as "default"); route
 //                     requests with a "<name>|" line prefix
 //   --requests=FILE   request lines (default: stdin)
-//   --max-batch=N     micro-batcher coalescing cap (default 16)
-//   --max-delay-ms=N  micro-batcher max wait for stragglers (default 2)
+//   --max-batch=N     micro-batcher batch cap (default 16, at most 4096);
+//                     the worker never waits for stragglers, it takes
+//                     whatever is queued when it is free
 //   --queue-capacity=N  per-model bounded request queue (default 256);
 //                     the CLI producer blocks for a slot (flow control)
 //                     instead of surfacing backpressure as errors
@@ -78,6 +79,8 @@
 //                     circuit breaker open ... retry after Nms"
 //   --breaker-cooldown-ms=N  how long a tripped breaker stays open before
 //                     half-open probe requests test recovery (default 250)
+//   Every *-ms duration is at most 86400000 (24 h); a larger value, like
+//   --max-batch above 4096, is a usage error (exit 2).
 //
 // At runtime `serve` answers "!stats" request lines and SIGHUP with a
 // registry status dump (per-model reload + batcher counters) on stderr,
@@ -144,7 +147,6 @@ constexpr OptionSpec kOptionSpecs[] = {
     {"out", OptionKind::kString},      {"seed", OptionKind::kInt},
     {"threads", OptionKind::kInt},     {"load", OptionKind::kString},
     {"requests", OptionKind::kString}, {"max-batch", OptionKind::kInt},
-    {"max-delay-ms", OptionKind::kInt},
     {"queue-capacity", OptionKind::kInt},
     {"reload-poll-ms", OptionKind::kInt},
     {"deadline-ms", OptionKind::kInt},
@@ -711,14 +713,13 @@ void PrintRegistryStatus(const serve::ModelRegistry& registry) {
     std::fprintf(
         stderr,
         "registry:   %s: breaker=%s trips=%lld shed=%lld nonfinite=%lld "
-        "queue=%lld est_batch=%.3fms brownouts=%lld\n",
+        "queue=%lld est_batch=%.3fms\n",
         m.name.c_str(), serve::BreakerStateName(m.batcher.breaker.state),
         static_cast<long long>(m.batcher.breaker.trips),
         static_cast<long long>(m.batcher.shed_overload),
         static_cast<long long>(m.batcher.nonfinite_answers),
         static_cast<long long>(m.batcher.queue_depth),
-        m.batcher.cost_ewma_seconds * 1e3,
-        static_cast<long long>(m.batcher.brownout_batches));
+        m.batcher.cost_ewma_seconds * 1e3);
     if (!m.last_error.empty()) {
       std::fprintf(stderr, "registry:   %s: last reload error: %s\n",
                    m.name.c_str(), m.last_error.c_str());
@@ -727,7 +728,8 @@ void PrintRegistryStatus(const serve::ModelRegistry& registry) {
 }
 
 // One "!health" answer line per model: machine-parseable key=value pairs
-// (scripts/check_chaos.sh greps them; keep keys stable).
+// (scripts/check_chaos.sh greps them). Add keys freely; dropping or
+// renaming one breaks scripted clients, so record it in CHANGES.md.
 std::string FormatHealthLines(const serve::ModelRegistry& registry) {
   std::string out;
   char buf[512];
@@ -737,8 +739,7 @@ std::string FormatHealthLines(const serve::ModelRegistry& registry) {
         "health model=%s breaker=%s trips=%lld probes=%lld "
         "breaker_rejected=%lld queue=%lld est_batch_ms=%.3f shed=%lld "
         "expired=%lld nonfinite=%lld executed_past_deadline=%lld "
-        "brownouts=%lld retry_after_ms=%lld reloads=%lld "
-        "reload_failures=%lld",
+        "retry_after_ms=%lld reloads=%lld reload_failures=%lld",
         m.name.c_str(), serve::BreakerStateName(m.batcher.breaker.state),
         static_cast<long long>(m.batcher.breaker.trips),
         static_cast<long long>(m.batcher.breaker.probes),
@@ -749,7 +750,6 @@ std::string FormatHealthLines(const serve::ModelRegistry& registry) {
         static_cast<long long>(m.batcher.expired),
         static_cast<long long>(m.batcher.nonfinite_answers),
         static_cast<long long>(m.batcher.executed_past_deadline),
-        static_cast<long long>(m.batcher.brownout_batches),
         static_cast<long long>(m.batcher.breaker.retry_after.count()),
         static_cast<long long>(m.reloads),
         static_cast<long long>(m.reload_failures));
@@ -805,41 +805,44 @@ int CmdServe(const CliArgs& args) {
     return 2;
   }
 
+  // Range-check before converting: every duration becomes a steady_clock
+  // offset (now + d, in micro- or nanoseconds) and --max-batch sizes the
+  // batcher's histogram, so an unchecked value overflows or exhausts
+  // memory instead of serving.
+  constexpr int64_t kMaxDurationMs = 86400000;  // 24 h
+  constexpr int64_t kMaxBatch = 4096;
+  for (const char* flag : {"reload-poll-ms", "deadline-ms",
+                           "max-queue-delay-ms", "breaker-cooldown-ms"}) {
+    const int64_t ms = args.GetInt(flag, 0);
+    if (ms < 0 || ms > kMaxDurationMs) {
+      std::fprintf(stderr, "error: --%s must be in [0, %lld] (24 h)\n", flag,
+                   static_cast<long long>(kMaxDurationMs));
+      return 2;
+    }
+  }
   serve::RegistryOptions registry_options;
   registry_options.batcher.max_batch_size = args.GetInt("max-batch", 16);
-  registry_options.batcher.max_delay =
-      std::chrono::milliseconds(args.GetInt("max-delay-ms", 2));
   registry_options.batcher.queue_capacity =
       args.GetInt("queue-capacity", 256);
   registry_options.reload_poll =
       std::chrono::milliseconds(args.GetInt("reload-poll-ms", 200));
-  registry_options.batcher.max_queue_delay = std::chrono::microseconds(
-      1000 * args.GetInt("max-queue-delay-ms", 0));
+  registry_options.batcher.max_queue_delay =
+      std::chrono::milliseconds(args.GetInt("max-queue-delay-ms", 0));
   registry_options.batcher.breaker.failure_threshold =
       args.GetInt("breaker-failures", 8);
   registry_options.batcher.breaker.cooldown =
       std::chrono::milliseconds(args.GetInt("breaker-cooldown-ms", 250));
-  const std::chrono::microseconds request_deadline(
-      1000 * args.GetInt("deadline-ms", 0));
+  const std::chrono::microseconds request_deadline =
+      std::chrono::milliseconds(args.GetInt("deadline-ms", 0));
   registry_options.verbose = true;
-  if (registry_options.batcher.max_batch_size < 1) {
-    std::fprintf(stderr, "error: --max-batch must be >= 1\n");
+  if (registry_options.batcher.max_batch_size < 1 ||
+      registry_options.batcher.max_batch_size > kMaxBatch) {
+    std::fprintf(stderr, "error: --max-batch must be in [1, %lld]\n",
+                 static_cast<long long>(kMaxBatch));
     return 2;
   }
   if (registry_options.batcher.queue_capacity < 1) {
     std::fprintf(stderr, "error: --queue-capacity must be >= 1\n");
-    return 2;
-  }
-  if (registry_options.reload_poll.count() < 0) {
-    std::fprintf(stderr, "error: --reload-poll-ms must be >= 0\n");
-    return 2;
-  }
-  if (request_deadline.count() < 0 ||
-      registry_options.batcher.max_queue_delay.count() < 0 ||
-      registry_options.batcher.breaker.cooldown.count() < 0) {
-    std::fprintf(stderr,
-                 "error: --deadline-ms, --max-queue-delay-ms and "
-                 "--breaker-cooldown-ms must be >= 0\n");
     return 2;
   }
 

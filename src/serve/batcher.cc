@@ -214,18 +214,6 @@ int64_t Batcher::LiveQueueCountLocked(Clock::time_point now) const {
   return live;
 }
 
-Clock::time_point Batcher::EarliestDeadlineLocked(
-    Clock::time_point now) const {
-  Clock::time_point earliest{};
-  for (const Request& request : queue_) {
-    if (!request.has_deadline || now >= request.deadline) continue;
-    if (earliest == Clock::time_point{} || request.deadline < earliest) {
-      earliest = request.deadline;
-    }
-  }
-  return earliest;
-}
-
 std::vector<Batcher::Request> Batcher::SweepExpiredLocked(
     Clock::time_point now) {
   std::vector<Request> swept;
@@ -258,53 +246,16 @@ void Batcher::Shutdown() {
 void Batcher::WorkerLoop() {
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
+    // Work-conserving: sleep only while there is nothing to run. Requests
+    // that arrive while a batch executes queue up and form the next one,
+    // so waiting for stragglers would only add latency.
     cv_.wait(lock, [this] { return shutdown_ || !queue_.empty(); });
-    if (queue_.empty()) {
-      if (shutdown_) return;  // drained
-      continue;
-    }
-    if (!shutdown_) {
-      // Coalesce: give concurrent submitters max_delay to fill the batch
-      // — but cap the wait at the earliest queued deadline (minus the
-      // estimated batch cost), so a nearly-expired head-of-line request
-      // fires its batch while it can still be answered instead of
-      // inflating the delay and expiring. On shutdown the remaining
-      // queue is executed immediately.
-      const auto batch_deadline = Clock::now() + options_.max_delay;
-      // Floor of 2: a single queued request is coalescing, not backlog,
-      // even when the queue capacity itself is 1.
-      const int64_t brownout_depth =
-          std::max<int64_t>(2, options_.queue_capacity / 2);
-      bool brownout = false;
-      for (;;) {
-        if (shutdown_) break;
-        const auto now = Clock::now();
-        const int64_t live = LiveQueueCountLocked(now);
-        if (live >= options_.max_batch_size) break;
-        if (live >= brownout_depth) {
-          // Brownout: the backlog is deep enough that waiting for
-          // stragglers only lengthens the queue; fire immediately.
-          brownout = true;
-          break;
-        }
-        auto wait_point = batch_deadline;
-        const auto earliest = EarliestDeadlineLocked(now);
-        if (earliest != Clock::time_point{}) {
-          const auto margin = std::chrono::duration_cast<Clock::duration>(
-              std::chrono::duration<double>(cost_ewma_));
-          const auto capped = earliest - margin;
-          if (capped < wait_point) wait_point = capped;
-        }
-        if (now >= wait_point) break;
-        cv_.wait_until(lock, wait_point);
-      }
-      if (brownout) ++brownout_batches_;
-    }
+    if (queue_.empty()) return;  // shut down and drained
     RunOneBatch(&lock);
   }
 }
 
-bool Batcher::RunOneBatch(std::unique_lock<std::mutex>* lock) {
+void Batcher::RunOneBatch(std::unique_lock<std::mutex>* lock) {
   const auto now = Clock::now();
   std::vector<Request> batch;
   std::vector<Request> expired;
@@ -332,45 +283,7 @@ bool Batcher::RunOneBatch(std::unique_lock<std::mutex>* lock) {
 
   if (batch.empty()) {
     lock->lock();
-    return false;
-  }
-
-  // Resolves requests whose deadline has passed `at`, removing them from
-  // `requests` (order preserved). Stats committed before fulfillment, as
-  // everywhere.
-  const auto shed_expired = [&](std::vector<Request>* requests,
-                                Clock::time_point at) {
-    std::vector<Request> keep;
-    std::vector<Request> late;
-    keep.reserve(requests->size());
-    for (Request& request : *requests) {
-      if (request.has_deadline && at >= request.deadline) {
-        late.push_back(std::move(request));
-      } else {
-        keep.push_back(std::move(request));
-      }
-    }
-    *requests = std::move(keep);
-    if (late.empty()) return;
-    lock->lock();
-    expired_ += static_cast<int64_t>(late.size());
-    for (const Request& request : late) {
-      if (request.probe) breaker_.AbandonProbe();
-    }
-    lock->unlock();
-    for (Request& request : late) {
-      request.promise.set_value(Status::DeadlineExceeded(
-          "request expired before its batch was executed"));
-    }
-  };
-
-  // First shed: deadlines can pass between the formation sweep above and
-  // here (the worker may have slept in the coalescing wait since `now`).
-  // Doing it before the tensor build keeps dead rows out of the copy.
-  shed_expired(&batch, Clock::now());
-  if (batch.empty()) {
-    lock->lock();
-    return true;
+    return;
   }
 
   int64_t k = static_cast<int64_t>(batch.size());
@@ -382,44 +295,49 @@ bool Batcher::RunOneBatch(std::unique_lock<std::mutex>* lock) {
                 static_cast<size_t>(t * c) * sizeof(float));
   }
 
-  // Final shed AT execution start: deadlines that fell inside the
-  // tensor-build window above are caught here, compacting the already
-  // built batch, so the decision to execute and the execution itself
-  // share one timestamp — no request ever enters the model expired.
+  // Final shed AT execution start: deadlines that passed since the
+  // batch was popped are caught here, compacting the already built batch
+  // (order preserved), so the decision to execute and the execution
+  // itself share one timestamp — no request ever enters the model
+  // expired. Stats are committed before fulfillment, as everywhere.
   const auto exec_start = Clock::now();
-  {
-    bool any_late = false;
-    for (const Request& request : batch) {
-      if (request.has_deadline && exec_start >= request.deadline) {
-        any_late = true;
-        break;
-      }
+  std::vector<Request> late;
+  int64_t kept = 0;
+  for (int64_t i = 0; i < k; ++i) {
+    Request& request = batch[static_cast<size_t>(i)];
+    if (request.has_deadline && exec_start >= request.deadline) {
+      late.push_back(std::move(request));
+      continue;
     }
-    if (any_late) {
-      int64_t w = 0;
-      for (int64_t i = 0; i < k; ++i) {
-        if (batch[static_cast<size_t>(i)].has_deadline &&
-            exec_start >= batch[static_cast<size_t>(i)].deadline) {
-          continue;
-        }
-        if (w != i) {
-          std::memcpy(histories.data() + w * t * c,
-                      histories.data() + i * t * c,
-                      static_cast<size_t>(t * c) * sizeof(float));
-        }
-        ++w;
-      }
-      shed_expired(&batch, exec_start);
-      if (batch.empty()) {
-        lock->lock();
-        return true;
-      }
-      k = static_cast<int64_t>(batch.size());
-      Tensor trimmed = Tensor::Empty({k, t, c});
-      std::memcpy(trimmed.data(), histories.data(),
-                  static_cast<size_t>(k * t * c) * sizeof(float));
-      histories = std::move(trimmed);
+    if (kept != i) {
+      std::memcpy(histories.data() + kept * t * c,
+                  histories.data() + i * t * c,
+                  static_cast<size_t>(t * c) * sizeof(float));
+      batch[static_cast<size_t>(kept)] = std::move(request);
     }
+    ++kept;
+  }
+  if (!late.empty()) {
+    batch.erase(batch.begin() + kept, batch.end());
+    lock->lock();
+    expired_ += static_cast<int64_t>(late.size());
+    for (const Request& request : late) {
+      if (request.probe) breaker_.AbandonProbe();
+    }
+    lock->unlock();
+    for (Request& request : late) {
+      request.promise.set_value(Status::DeadlineExceeded(
+          "request expired before its batch was executed"));
+    }
+    if (batch.empty()) {
+      lock->lock();
+      return;
+    }
+    k = kept;
+    Tensor trimmed = Tensor::Empty({k, t, c});
+    std::memcpy(trimmed.data(), histories.data(),
+                static_cast<size_t>(k * t * c) * sizeof(float));
+    histories = std::move(trimmed);
   }
 
   // Tripwire for the invariant above (the chaos gate asserts it stays
@@ -493,30 +411,35 @@ bool Batcher::RunOneBatch(std::unique_lock<std::mutex>* lock) {
   }
 
   lock->lock();
-  return true;
 }
 
 BatcherStats Batcher::Stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto now = Clock::now();
   BatcherStats stats;
-  stats.submitted = submitted_;
-  stats.rejected_full = rejected_full_;
-  stats.expired = expired_;
-  stats.shed_overload = shed_overload_;
-  stats.completed = completed_;
-  stats.nonfinite_answers = nonfinite_answers_;
-  stats.executed_past_deadline = executed_past_deadline_;
-  stats.batches = batches_;
-  stats.brownout_batches = brownout_batches_;
-  stats.queue_depth = LiveQueueCountLocked(now);
-  stats.cost_ewma_seconds = cost_ewma_;
-  stats.breaker = breaker_.Stats(now);
-  stats.batch_size_histogram = batch_size_histogram_;
-  if (latency_.count() > 0) {
-    stats.p50_latency_seconds = latency_.Percentile(50.0);
-    stats.p99_latency_seconds = latency_.Percentile(99.0);
-    stats.p999_latency_seconds = latency_.Percentile(99.9);
+  std::vector<double> latencies;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    const auto now = Clock::now();
+    stats.submitted = submitted_;
+    stats.rejected_full = rejected_full_;
+    stats.expired = expired_;
+    stats.shed_overload = shed_overload_;
+    stats.completed = completed_;
+    stats.nonfinite_answers = nonfinite_answers_;
+    stats.executed_past_deadline = executed_past_deadline_;
+    stats.batches = batches_;
+    stats.queue_depth = LiveQueueCountLocked(now);
+    stats.cost_ewma_seconds = cost_ewma_;
+    stats.breaker = breaker_.Stats(now);
+    stats.batch_size_histogram = batch_size_histogram_;
+    latencies = latency_.samples();
+  }
+  // Sort outside mu_: a full ring holds 65,536 samples, and Submit and
+  // the worker must not wait behind the sort.
+  if (!latencies.empty()) {
+    std::sort(latencies.begin(), latencies.end());
+    stats.p50_latency_seconds = SortedPercentile(latencies, 50.0);
+    stats.p99_latency_seconds = SortedPercentile(latencies, 99.0);
+    stats.p999_latency_seconds = SortedPercentile(latencies, 99.9);
   }
   return stats;
 }

@@ -14,10 +14,11 @@
 #include "serve/session.h"
 
 // Dynamic micro-batching for the inference session. Concurrent callers
-// submit single windows; a worker thread coalesces whatever is queued
-// into one PredictBatch call (up to max_batch_size, waiting at most
-// max_delay for stragglers), which spreads the batch's rows over the
-// tensor thread pool instead of running one window after another.
+// submit single windows; a work-conserving worker thread sleeps only
+// while the queue is empty, then takes whatever is queued (up to
+// max_batch_size) into one PredictBatch call, which spreads the batch's
+// rows over the tensor thread pool. It never waits for stragglers:
+// requests that arrive while a batch executes form the next batch.
 //
 // Semantics:
 //  - Backpressure: Submit on a full queue fails fast with
@@ -29,21 +30,17 @@
 //  - Deadlines propagate: a request whose deadline passes before its
 //    batch is assembled completes with Status::DeadlineExceeded instead
 //    of occupying batch slots, with a final shed immediately before the
-//    model call so expired work never executes; a nearly-expired
-//    head-of-line request caps the coalescing delay so its batch fires
-//    while it can still be answered.
+//    model call so expired work never executes.
 //  - Admission control: with a per-batch cost estimate (EWMA over
 //    executed batches, seeded from the session's Open-time probe), a
 //    request whose deadline cannot survive the estimated queue drain —
 //    or, with max_queue_delay set, any request behind a deeper backlog
 //    than that — is shed up front with Status::Overloaded plus a
 //    retry-after hint, instead of timing out downstream.
-//  - Degraded modes: consecutive failures (model errors or non-finite
+//  - Degraded mode: consecutive failures (model errors or non-finite
 //    forecasts, which are suppressed into typed Internal errors) trip a
 //    per-model circuit breaker (serve/breaker.h) that sheds instantly
-//    while open and recovers through half-open probes. Under a deep
-//    backlog the worker browns out the coalescing delay (batches fire
-//    as soon as the worker is free) to shorten the queue.
+//    while open and recovers through half-open probes.
 //  - Shutdown drains: pending accepted requests are still executed;
 //    only new submissions are rejected.
 //  - Determinism: results are bitwise identical to an unbatched
@@ -54,10 +51,8 @@ namespace lipformer {
 namespace serve {
 
 struct BatcherOptions {
-  // Largest coalesced batch per Forward.
+  // Largest batch per Forward.
   int64_t max_batch_size = 16;
-  // How long the worker waits for more requests once one is pending.
-  std::chrono::microseconds max_delay{1000};
   // Accepted-but-unexecuted request cap; Submit rejects beyond it.
   int64_t queue_capacity = 256;
   // Admission cap on the estimated queue drain (excluding the request's
@@ -91,7 +86,9 @@ struct BatcherStats {
   // gate asserts it.
   int64_t executed_past_deadline = 0;
   int64_t batches = 0;            // batched Forward calls
-  int64_t brownout_batches = 0;   // fired with the coalescing delay cut
+  // Always 0: the worker never delays a batch, so there is no delay to
+  // cut. Kept only because benchmark/src/serving.cc still reads it.
+  int64_t brownout_batches = 0;
   int64_t queue_depth = 0;        // live queued requests right now
   double cost_ewma_seconds = 0;   // current per-batch cost estimate
   BreakerStats breaker;
@@ -146,17 +143,13 @@ class Batcher {
 
   void WorkerLoop();
   // Pops up to max_batch_size requests (expiring stale ones) and answers
-  // them with one PredictBatch. Returns false when queue was empty.
-  bool RunOneBatch(std::unique_lock<std::mutex>* lock);
+  // them with one PredictBatch.
+  void RunOneBatch(std::unique_lock<std::mutex>* lock);
 
   // Queued requests whose deadline has not passed at `now` — the ones
   // that can actually occupy batch slots. Requires mu_ held.
   int64_t LiveQueueCountLocked(std::chrono::steady_clock::time_point now)
       const;
-  // Earliest future deadline among queued live requests (epoch when
-  // none carry one). Requires mu_ held.
-  std::chrono::steady_clock::time_point EarliestDeadlineLocked(
-      std::chrono::steady_clock::time_point now) const;
   // Removes expired requests from the queue and bumps expired_; requires
   // mu_ held. The caller must fail the returned promises with
   // DeadlineExceeded after releasing mu_.
@@ -183,7 +176,6 @@ class Batcher {
   int64_t nonfinite_answers_ = 0;
   int64_t executed_past_deadline_ = 0;
   int64_t batches_ = 0;
-  int64_t brownout_batches_ = 0;
   // EWMA of executed batch duration (seconds); 0 = no estimate yet.
   double cost_ewma_ = 0;
   CircuitBreaker breaker_;

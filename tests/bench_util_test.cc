@@ -1,5 +1,8 @@
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -53,6 +56,31 @@ TEST(FormatTest, Seconds) {
   EXPECT_EQ(FormatSeconds(2.5), "2.50s");
   EXPECT_EQ(FormatSeconds(0.0123), "12.3ms");
   EXPECT_EQ(FormatSeconds(45e-6), "45.0us");
+}
+
+TEST(LatencyRecorderTest, ExactPercentilesOnKnownSamples) {
+  // 0..1000 in scrambled order (7919 is coprime to 1001), so percentile p
+  // sits exactly on sample 10 * p.
+  LatencyRecorder recorder(2048);
+  for (int i = 0; i <= 1000; ++i) recorder.Record((i * 7919) % 1001);
+  std::vector<double> sorted = recorder.samples();
+  ASSERT_EQ(sorted.size(), 1001u);
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_NEAR(SortedPercentile(sorted, 50.0), 500.0, 1e-9);
+  EXPECT_NEAR(SortedPercentile(sorted, 99.0), 990.0, 1e-9);
+  EXPECT_NEAR(SortedPercentile(sorted, 99.9), 999.0, 1e-9);
+  EXPECT_DOUBLE_EQ(SortedPercentile(sorted, 100.0), 1000.0);
+  // Between two samples the rank interpolates linearly.
+  EXPECT_DOUBLE_EQ(SortedPercentile({1.0, 2.0}, 50.0), 1.5);
+  EXPECT_TRUE(std::isnan(SortedPercentile({}, 50.0)));
+}
+
+TEST(LatencyRecorderTest, WrappedRingKeepsOnlyTheNewestSamples) {
+  LatencyRecorder recorder(4);
+  for (int i = 1; i <= 10; ++i) recorder.Record(i);
+  std::vector<double> kept = recorder.samples();
+  std::sort(kept.begin(), kept.end());
+  EXPECT_EQ(kept, (std::vector<double>{7, 8, 9, 10}));
 }
 
 TEST(ProfilerTest, CountsParamsMacsAndTime) {

@@ -80,6 +80,24 @@ TEST(CliValidateTest, RejectsRemovedNoPlanFlag) {
   EXPECT_EQ(Main(static_cast<int>(argv.size()), argv.data()), 2);
 }
 
+// The batcher's worker takes whatever is queued the moment it is free,
+// so there is no coalescing wait to set: --max-delay-ms is an unknown
+// option and a usage error.
+TEST(CliValidateTest, RejectsRemovedMaxDelayFlag) {
+  CliArgs args =
+      ParseVec({"prog", "serve", "--load=m.bundle", "--max-delay-ms=1"});
+  Status st = ValidateArgs(args);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(st.message().find("unknown option --max-delay-ms"),
+            std::string::npos);
+
+  std::vector<std::string> argv_strings = {"prog", "serve", "--load=m.bundle",
+                                           "--max-delay-ms=1"};
+  std::vector<char*> argv;
+  for (auto& s : argv_strings) argv.push_back(s.data());
+  EXPECT_EQ(Main(static_cast<int>(argv.size()), argv.data()), 2);
+}
+
 TEST(CliValidateTest, RejectsStragglerArgument) {
   CliArgs args = ParseVec({"prog", "train", "etth1"});
   Status st = ValidateArgs(args);
@@ -215,6 +233,57 @@ TEST(CliMainTest, ThreadsOutsideIntRangeReturnUsageCode) {
   EXPECT_EQ(Main(static_cast<int>(argv.size()), argv.data()), 0);
   EXPECT_EQ(GetNumThreads(), 2);
   SetNumThreads(DefaultNumThreads());
+}
+
+// Runs `serve` with one extra flag against a bundle path that does not
+// exist. Exit 2 means the flag was refused before any bundle was opened;
+// exit 1 means it passed validation and the missing bundle failed to load.
+int ServeMissingBundle(const std::string& flag) {
+  std::vector<std::string> argv_strings = {
+      "prog", "serve", "--load=" + ::testing::TempDir() + "/no_such.bundle",
+      flag};
+  std::vector<char*> argv;
+  for (auto& s : argv_strings) argv.push_back(s.data());
+  return Main(static_cast<int>(argv.size()), argv.data());
+}
+
+// serve's durations become steady_clock offsets (now + d), which huge
+// values overflow: every request would expire on arrival, or the flag
+// would read as negative. Anything past 24 h is a usage error; 24 h
+// itself passes.
+TEST(CliMainTest, DeadlineAboveOneDayReturnsUsageCode) {
+  EXPECT_EQ(ServeMissingBundle("--deadline-ms=86400001"), 2);
+  EXPECT_EQ(ServeMissingBundle("--deadline-ms=9300000000000"), 2);
+  EXPECT_EQ(ServeMissingBundle("--deadline-ms=18446744073709552"), 2);
+  EXPECT_EQ(ServeMissingBundle("--deadline-ms=86400000"), 1);
+}
+
+TEST(CliMainTest, MaxQueueDelayAboveOneDayReturnsUsageCode) {
+  EXPECT_EQ(ServeMissingBundle("--max-queue-delay-ms=86400001"), 2);
+  EXPECT_EQ(ServeMissingBundle("--max-queue-delay-ms=9300000000000000"), 2);
+  EXPECT_EQ(ServeMissingBundle("--max-queue-delay-ms=-1"), 2);
+  EXPECT_EQ(ServeMissingBundle("--max-queue-delay-ms=86400000"), 1);
+}
+
+TEST(CliMainTest, BreakerCooldownAboveOneDayReturnsUsageCode) {
+  EXPECT_EQ(ServeMissingBundle("--breaker-cooldown-ms=86400001"), 2);
+  EXPECT_EQ(ServeMissingBundle("--breaker-cooldown-ms=9300000000000000"), 2);
+  EXPECT_EQ(ServeMissingBundle("--breaker-cooldown-ms=86400000"), 1);
+}
+
+TEST(CliMainTest, ReloadPollAboveOneDayReturnsUsageCode) {
+  EXPECT_EQ(ServeMissingBundle("--reload-poll-ms=86400001"), 2);
+  EXPECT_EQ(ServeMissingBundle("--reload-poll-ms=9300000000000000"), 2);
+  EXPECT_EQ(ServeMissingBundle("--reload-poll-ms=86400000"), 1);
+}
+
+// --max-batch sizes the batcher's per-size histogram: the int64 maximum
+// would abort with std::length_error, and 10^8 would zero-fill 800 MB.
+TEST(CliMainTest, MaxBatchAbove4096ReturnsUsageCode) {
+  EXPECT_EQ(ServeMissingBundle("--max-batch=4097"), 2);
+  EXPECT_EQ(ServeMissingBundle("--max-batch=9223372036854775807"), 2);
+  EXPECT_EQ(ServeMissingBundle("--max-batch=0"), 2);
+  EXPECT_EQ(ServeMissingBundle("--max-batch=4096"), 1);
 }
 
 TEST(CliParseTest, RepeatedOptionsKeepEveryOccurrenceInOrder) {

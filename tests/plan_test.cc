@@ -518,7 +518,6 @@ TEST_F(PlanTest, BatcherServesConcurrentRequestsFromOnePlan) {
 
   serve::BatcherOptions opts;
   opts.max_batch_size = 4;
-  opts.max_delay = std::chrono::microseconds(200);
   serve::Batcher batcher(planned.value().get(), opts);
   std::vector<int> mismatches(kClients, 0);
   std::vector<std::thread> clients;

@@ -623,6 +623,20 @@ TEST(QuantizedMseTest, TrainedModelStaysWithinTwoPercentOfFp32) {
 
 // ---- Dynamic micro-batcher ----
 
+// Pins the batcher's worker inside one stalled forward: arms an injected
+// `stall_ms` delay on the next forward, submits a window and waits until
+// the worker has popped it, so whatever is submitted next stays queued
+// until the stall ends. The caller disarms the fault.
+std::future<Result<Tensor>> StallWorker(serve::Batcher* batcher,
+                                        int stall_ms) {
+  fault::Arm("slow_infer_ms=" + std::to_string(stall_ms) +
+             ",slow_infer_count=1");
+  std::future<Result<Tensor>> held =
+      batcher->Submit(RandomTensor({24, 2}, 199));
+  while (batcher->Stats().queue_depth > 0) std::this_thread::yield();
+  return held;
+}
+
 TEST_F(SessionTest, BatcherConcurrentResultsBitwiseMatchSerial) {
   auto opened = serve::InferenceSession::Open(path_);
   ASSERT_TRUE(opened.ok());
@@ -641,7 +655,6 @@ TEST_F(SessionTest, BatcherConcurrentResultsBitwiseMatchSerial) {
 
   serve::BatcherOptions opts;
   opts.max_batch_size = 4;
-  opts.max_delay = std::chrono::microseconds(200);
   serve::Batcher batcher(session, opts);
   std::vector<std::thread> clients;
   std::vector<int> mismatches(kClients, 0);
@@ -683,16 +696,12 @@ TEST_F(SessionTest, BatcherBackpressureAndDrainOnShutdown) {
 
   // The worker is pinned inside a stalled forward (injected 500 ms) on a
   // first request while the queue fills, so the bounce is deterministic:
-  // a free worker would take two queued requests at once (they reach the
-  // brownout depth of a capacity-2 queue).
+  // a free worker would take each queued request as soon as it arrived.
   serve::BatcherOptions opts;
   opts.max_batch_size = 64;
-  opts.max_delay = std::chrono::microseconds(0);
   opts.queue_capacity = 2;
   serve::Batcher batcher(opened.value().get(), opts);
-  fault::Arm("slow_infer_ms=500,slow_infer_count=1");
-  auto f0 = batcher.Submit(RandomTensor({24, 2}, 199));
-  while (batcher.Stats().queue_depth > 0) std::this_thread::yield();
+  auto f0 = StallWorker(&batcher, 500);
 
   auto f1 = batcher.Submit(RandomTensor({24, 2}, 200));
   auto f2 = batcher.Submit(RandomTensor({24, 2}, 201));
@@ -727,19 +736,61 @@ TEST_F(SessionTest, BatcherBackpressureAndDrainOnShutdown) {
   EXPECT_EQ(stats.rejected_full, 1);
 }
 
+// The worker never waits for stragglers, and never runs a backlog one row
+// at a time either: what queued while it was busy is its next batch.
+TEST_F(SessionTest, WorkerTakesTheBacklogWithoutWaiting) {
+  auto opened = serve::InferenceSession::Open(path_);
+  ASSERT_TRUE(opened.ok());
+  serve::InferenceSession* session = opened.value().get();
+
+  const int kBacklog = 5;
+  std::vector<Tensor> windows;
+  std::vector<Tensor> expected;
+  for (int i = 0; i < kBacklog; ++i) {
+    windows.push_back(RandomTensor({24, 2}, 1200 + i));
+    auto serial = session->Predict(windows.back());
+    ASSERT_TRUE(serial.ok());
+    expected.push_back(serial.value());
+  }
+
+  serve::Batcher batcher(session, {});
+  auto held = StallWorker(&batcher, 500);
+  std::vector<std::future<Result<Tensor>>> backlog;
+  for (const Tensor& window : windows) {
+    backlog.push_back(batcher.Submit(window));
+  }
+  ASSERT_TRUE(held.get().ok());
+  for (int i = 0; i < kBacklog; ++i) {
+    Result<Tensor> answer = backlog[static_cast<size_t>(i)].get();
+    ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+    EXPECT_TRUE(BitwiseEqual(answer.value(), expected[static_cast<size_t>(i)]))
+        << "row " << i;
+  }
+  fault::Disarm();
+
+  const serve::BatcherStats stats = batcher.Stats();
+  EXPECT_EQ(stats.batches, 2);
+  EXPECT_EQ(stats.batch_size_histogram[0], 1);  // the held request
+  EXPECT_EQ(stats.batch_size_histogram[kBacklog - 1], 1);
+}
+
 TEST_F(SessionTest, BatcherExpiresMissedDeadlines) {
   auto opened = serve::InferenceSession::Open(path_);
   ASSERT_TRUE(opened.ok());
 
   serve::BatcherOptions opts;
   opts.max_batch_size = 64;
-  opts.max_delay = std::chrono::seconds(30);
   serve::Batcher batcher(opened.value().get(), opts);
 
+  // The worker is stalled on another request, so this one waits in the
+  // queue while its deadline passes.
+  auto held = StallWorker(&batcher, 500);
   auto fast = batcher.Submit(RandomTensor({24, 2}, 300),
                              /*deadline=*/std::chrono::microseconds(1));
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
   batcher.Shutdown();  // drains: deadline is long past by now
+  fault::Disarm();
+  ASSERT_TRUE(held.get().ok());
   auto result = fast.get();
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
@@ -750,15 +801,14 @@ TEST_F(SessionTest, ExpiredRequestsDoNotPinQueueCapacity) {
   auto opened = serve::InferenceSession::Open(path_);
   ASSERT_TRUE(opened.ok());
 
-  // Capacity 2 and an unreachable batch size with a long coalescing
-  // delay: the queue fills with two requests whose deadlines pass while
-  // the worker is still waiting for more.
+  // Capacity 2 and a worker stalled on another request: the queue fills
+  // with two requests whose deadlines pass while they wait.
   serve::BatcherOptions opts;
   opts.max_batch_size = 64;
-  opts.max_delay = std::chrono::seconds(30);
   opts.queue_capacity = 2;
   serve::Batcher batcher(opened.value().get(), opts);
 
+  auto held = StallWorker(&batcher, 500);
   auto stale1 = batcher.Submit(RandomTensor({24, 2}, 600),
                                /*deadline=*/std::chrono::microseconds(1));
   auto stale2 = batcher.Submit(RandomTensor({24, 2}, 601),
@@ -775,6 +825,8 @@ TEST_F(SessionTest, ExpiredRequestsDoNotPinQueueCapacity) {
   EXPECT_EQ(r2.status().code(), StatusCode::kDeadlineExceeded);
 
   batcher.Shutdown();
+  fault::Disarm();
+  ASSERT_TRUE(held.get().ok());
   auto rf = fresh.get();
   ASSERT_TRUE(rf.ok()) << rf.status().ToString();
   EXPECT_EQ(rf.value().shape(), (Shape{6, 2}));
@@ -782,7 +834,7 @@ TEST_F(SessionTest, ExpiredRequestsDoNotPinQueueCapacity) {
   const serve::BatcherStats stats = batcher.Stats();
   EXPECT_EQ(stats.rejected_full, 0);
   EXPECT_EQ(stats.expired, 2);
-  EXPECT_EQ(stats.completed, 1);
+  EXPECT_EQ(stats.completed, 2);  // the held request and the fresh one
 }
 
 TEST_F(SessionTest, BatcherRejectsWrongShapeImmediately) {
@@ -981,12 +1033,12 @@ TEST_F(SessionTest, BlockingSubmitUnblocksOnShutdown) {
   ASSERT_TRUE(opened.ok());
   serve::BatcherOptions options;
   options.queue_capacity = 1;
-  // A coalescing wait long enough that the worker is still waiting for
-  // batch fill when Shutdown arrives (the queued request executes then).
   options.max_batch_size = 64;
-  options.max_delay = std::chrono::seconds(30);
   serve::Batcher batcher(opened.value().get(), options);
 
+  // The worker is still stalled on another request when Shutdown arrives
+  // (the queued request executes after the stall).
+  std::future<Result<Tensor>> held = StallWorker(&batcher, 500);
   std::future<Result<Tensor>> queued =
       batcher.Submit(RandomTensor({24, 2}, 900));  // fills the queue
   std::promise<void> blocked_started;
@@ -1001,7 +1053,9 @@ TEST_F(SessionTest, BlockingSubmitUnblocksOnShutdown) {
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   batcher.Shutdown();
   blocked.join();
+  fault::Disarm();
 
+  ASSERT_TRUE(held.get().ok());
   Result<Tensor> drained = queued.get();
   EXPECT_TRUE(drained.ok()) << drained.status().ToString();
   Result<Tensor> rejected = blocked_result.get();
@@ -1053,12 +1107,14 @@ TEST_F(SessionTest, QueueDelayCapShedsBacklogOnlyRequests) {
   ASSERT_TRUE(opened.ok());
   serve::BatcherOptions options;
   options.max_batch_size = 4;
-  options.max_delay = std::chrono::seconds(30);  // hold the first in queue
   options.cost_hint_seconds = 10.0;
   options.max_queue_delay = std::chrono::microseconds(1000);
   serve::Batcher batcher(opened.value().get(), options);
 
-  // First request: empty queue, zero batches ahead — admitted.
+  // The held request executes (stalled), so it is not backlog: the queue
+  // is empty again and the first queued request sees zero batches ahead
+  // — admitted.
+  auto held = StallWorker(&batcher, 500);
   auto first = batcher.Submit(RandomTensor({24, 2}, 1010));
   // Second: one live request ahead means one 10s batch to drain, far
   // over the 1ms cap.
@@ -1070,24 +1126,25 @@ TEST_F(SessionTest, QueueDelayCapShedsBacklogOnlyRequests) {
   EXPECT_EQ(capped.status().code(), StatusCode::kOverloaded);
 
   batcher.Shutdown();
+  fault::Disarm();
+  ASSERT_TRUE(held.get().ok());
   Result<Tensor> drained = first.get();
   ASSERT_TRUE(drained.ok()) << drained.status().ToString();
   EXPECT_EQ(batcher.Stats().shed_overload, 1);
 }
 
-// Satellite bugfix: a kBlock submit used to wait indefinitely for queue
-// space even when its own deadline had already passed. It must give up
-// at the deadline with the typed error instead of blocking behind a
-// 30-second coalescing wait.
+// A kBlock submit waiting for queue space must give up at its own
+// deadline with the typed error instead of blocking until the worker,
+// stalled here for 2 s, frees a slot.
 TEST_F(SessionTest, BlockingSubmitRespectsDeadlineWhileWaitingForSpace) {
   auto opened = serve::InferenceSession::Open(path_);
   ASSERT_TRUE(opened.ok());
   serve::BatcherOptions options;
   options.queue_capacity = 1;
   options.max_batch_size = 64;
-  options.max_delay = std::chrono::seconds(30);
   serve::Batcher batcher(opened.value().get(), options);
 
+  auto held = StallWorker(&batcher, 2000);
   auto queued = batcher.Submit(RandomTensor({24, 2}, 1020));  // fills queue
   const auto start = std::chrono::steady_clock::now();
   Result<Tensor> blocked =
@@ -1099,13 +1156,16 @@ TEST_F(SessionTest, BlockingSubmitRespectsDeadlineWhileWaitingForSpace) {
   const auto waited = std::chrono::steady_clock::now() - start;
   ASSERT_FALSE(blocked.ok());
   EXPECT_EQ(blocked.status().code(), StatusCode::kDeadlineExceeded);
-  // Generous bound: far under the 30s coalescing wait a slot would take,
-  // far over the 30ms deadline so scheduler noise cannot flake it.
-  EXPECT_LT(std::chrono::duration_cast<std::chrono::seconds>(waited).count(),
-            10);
+  // Half the 2 s stall a slot would take, far over the 30 ms deadline so
+  // scheduler noise cannot flake it.
+  EXPECT_LT(
+      std::chrono::duration_cast<std::chrono::milliseconds>(waited).count(),
+      1000);
   EXPECT_EQ(batcher.Stats().expired, 1);
 
   batcher.Shutdown();
+  fault::Disarm();
+  ASSERT_TRUE(held.get().ok());
   Result<Tensor> drained = queued.get();
   ASSERT_TRUE(drained.ok()) << drained.status().ToString();
 }
