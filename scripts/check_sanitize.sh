@@ -21,13 +21,22 @@
 # interleaved lifetimes, same-size reuse, alignment, overlap detection),
 # so sanitizers see the fused and unfused kernels and the allocator edge
 # paths too, and the storage pool's steady-state allocation budget
-# (AllocationContractTest.*, plan serving at 1 and 4 threads) runs
+# (AllocationContractTest.*; PlanServingNeverReachesTheHeap serves fp32
+# LiPFormer, int8 LiPFormer and DLinear at 1 and 4 threads) runs
 # instrumented. Under `address`,
 # AttentionKernelTest.RawKernelMatchesComposedChainOnExactBuffers and
 # NanReachesTheRowsThatReadIt call raw::AttentionRows on exactly sized
 # std::vector buffers over the registry's attention shapes, so ASan sees
-# any read past a row or a query-block tail. The serving layer's
-# concurrency edges ride along as well:
+# any read past a row or a query-block tail, and BroadcastKernelTest.*
+# (RowKernelMatchesReferenceLoopOnExactBuffers,
+# UnpatternedStridesWalkOneElementRows, BroadcastMidRowsMatchesReference,
+# PermuteCopyMatchesReference) does the same for the broadcast row
+# kernel and the odometer it shares with PermuteCopy, at 1 and 4 threads,
+# so TSan sees chunks that start and end mid-row. The bundle loaders'
+# single-read tests (SessionTest.LoadBundleModelReadsTheBundleOnce and
+# QuantizeBundleFileReadsTheBundleOnce) publish a bundle through a FIFO
+# from a writer thread while the loader runs under std::async. The
+# serving layer's concurrency edges ride along as well:
 # SessionTest.SubmitRacingShutdownResolvesEveryFuture
 # (32 submitters vs Shutdown), ResolvedCallerSeesItselfInCompletedStats
 # (the stats commit-before-fulfill ordering contract),

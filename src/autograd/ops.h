@@ -100,8 +100,8 @@ Variable Attention(const Variable& q, const Variable& k, const Variable& v,
 // epilogue. The backward recomputes the pre-activation from the saved
 // inputs instead of storing it.
 Variable AddBiasAct(const Variable& a, const Variable& bias, FusedAct act);
-// a [B, T, C] -/+ b [B, 1, C]: instance-norm shift and unshift without
-// the generic odometer broadcast.
+// a [B, T, C] -/+ b [B, 1, C]: instance-norm shift and unshift, traced
+// as their own plan kind (kBroadcastMid).
 Variable SubBroadcastMid(const Variable& a, const Variable& b);
 Variable AddBroadcastMid(const Variable& a, const Variable& b);
 

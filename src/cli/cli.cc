@@ -664,14 +664,10 @@ void PrintPlanBanner(const serve::PlanStats& stats) {
                static_cast<long long>(stats.prepacked_gemms),
                static_cast<long long>(stats.fused_gemm_operands));
   std::fprintf(stderr,
-               "inference plan: fusion %lld GEMM epilogues, %lld "
-               "elementwise chains (%lld ops), %lld passes "
-               "eliminated, %lld arena bytes saved\n",
+               "inference plan: fusion %lld GEMM epilogues, %lld passes "
+               "eliminated\n",
                static_cast<long long>(stats.fused_epilogues),
-               static_cast<long long>(stats.fused_chains),
-               static_cast<long long>(stats.fused_chain_ops),
-               static_cast<long long>(stats.passes_eliminated),
-               static_cast<long long>(stats.arena_saved_bytes));
+               static_cast<long long>(stats.passes_eliminated));
 }
 
 // Exit summary of one model's plan (the request count is on the model's

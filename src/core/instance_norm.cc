@@ -7,8 +7,6 @@ std::pair<Variable, InstanceNormState> InstanceNormalize(const Variable& x) {
   const int64_t t = x.size(1);
   InstanceNormState state;
   state.last_values = Slice(x, 1, t - 1, t);  // [b, 1, c]
-  // Row-wise fused broadcast over the time dim instead of the generic
-  // odometer path of Sub.
   Variable normalized = SubBroadcastMid(x, state.last_values);
   return {normalized, state};
 }

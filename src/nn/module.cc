@@ -106,8 +106,11 @@ Status Module::SaveParameters(const std::string& path) const {
 Status Module::LoadParameters(const std::string& path) {
   Result<serve::Checkpoint> loaded = serve::ReadCheckpoint(path);
   if (!loaded.ok()) return loaded.status();
-  const serve::Checkpoint& ckpt = loaded.value();
+  return LoadParameters(loaded.value(), path);
+}
 
+Status Module::LoadParameters(const serve::Checkpoint& ckpt,
+                              const std::string& origin) {
   std::vector<std::pair<std::string, Variable>> named;
   CollectParameters("", &named);
 
@@ -119,7 +122,7 @@ Status Module::LoadParameters(const std::string& path) {
   }
   if (param_tensors != named.size()) {
     return Status::InvalidArgument(
-        "parameter count mismatch in " + path + ": checkpoint has " +
+        "parameter count mismatch in " + origin + ": checkpoint has " +
         std::to_string(param_tensors) + " tensors, module has " +
         std::to_string(named.size()));
   }
@@ -127,12 +130,12 @@ Status Module::LoadParameters(const std::string& path) {
   for (auto& [name, v] : named) {
     const serve::CheckpointTensor* entry = ckpt.Find(name);
     if (entry == nullptr) {
-      return Status::InvalidArgument("checkpoint " + path +
+      return Status::InvalidArgument("checkpoint " + origin +
                                      " has no tensor named '" + name + "'");
     }
     if (!SameShape(entry->data.shape(), v.shape())) {
       return Status::InvalidArgument(
-          "shape mismatch for parameter '" + name + "' in " + path +
+          "shape mismatch for parameter '" + name + "' in " + origin +
           ": checkpoint has " + ShapeToString(entry->data.shape()) +
           ", module expects " + ShapeToString(v.shape()));
     }

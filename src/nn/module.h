@@ -16,6 +16,10 @@
 
 namespace lipformer {
 
+namespace serve {
+struct Checkpoint;
+}  // namespace serve
+
 class Module {
  public:
   virtual ~Module() = default;
@@ -58,6 +62,12 @@ class Module {
   // `checkpoint_convert` tool.
   Status SaveParameters(const std::string& path) const;
   Status LoadParameters(const std::string& path);
+  // The same checks and copy from a checkpoint the caller already read;
+  // `origin` names it in error messages. A loader that also reads the
+  // checkpoint's metadata must pass that one parsed copy here: reading
+  // the path twice could mix two files published between the reads.
+  Status LoadParameters(const serve::Checkpoint& ckpt,
+                        const std::string& origin);
 
   // Reads the legacy v1 layout (u64 count, then u64 numel + raw floats
   // per parameter, in Parameters() order). Only the flat sizes can be

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 #include <iterator>
-#include <numeric>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -36,101 +35,6 @@ struct ValueInfo {
   int64_t last_use = -1;  // last emitted-op index that reads it
   int64_t offset = -1;
 };
-
-// ---- Elementwise-chain fusion helpers ----
-
-bool ChainEligibleKind(trace::OpKind k) {
-  return k == trace::OpKind::kUnary || k == trace::OpKind::kBinary ||
-         k == trace::OpKind::kBroadcastMid ||
-         k == trace::OpKind::kBinaryBcast;
-}
-
-// Per-element input offsets of operand `slot` of an eligible elementwise
-// op, for every output element in order. Compile-time only; the fusion
-// pass compresses these into per-row base tables and verifies the
-// compression numerically before trusting it.
-std::vector<int64_t> OperandOffsets(const PlanOp& op, int slot,
-                                    int64_t numel) {
-  std::vector<int64_t> offs(static_cast<size_t>(numel));
-  switch (op.kind) {
-    case trace::OpKind::kBinary:
-      for (int64_t e = 0; e < numel; ++e) offs[e] = e;
-      break;
-    case trace::OpKind::kBroadcastMid: {
-      if (slot == 0) {
-        for (int64_t e = 0; e < numel; ++e) offs[e] = e;
-        break;
-      }
-      const int64_t t = op.d[1], c = op.d[2];
-      for (int64_t e = 0; e < numel; ++e) {
-        offs[e] = ((e / c) / t) * c + e % c;
-      }
-      break;
-    }
-    case trace::OpKind::kBinaryBcast: {
-      // Odometer over the output shape with this operand's broadcast
-      // strides — the exact walk raw::BinaryBcast performs.
-      const int64_t nd = op.d[1];
-      const std::vector<int64_t>& oshape = op.aux0;
-      const std::vector<int64_t>& strides = slot == 0 ? op.aux1 : op.aux2;
-      std::vector<int64_t> idx(static_cast<size_t>(nd), 0);
-      int64_t off = 0;
-      for (int64_t e = 0; e < numel; ++e) {
-        offs[e] = off;
-        for (int64_t d = nd - 1; d >= 0; --d) {
-          ++idx[d];
-          off += strides[d];
-          if (idx[d] < oshape[d]) break;
-          idx[d] = 0;
-          off -= strides[d] * oshape[d];
-        }
-      }
-      break;
-    }
-    default:
-      LIPF_CHECK(false) << "not an elementwise operand";
-  }
-  return offs;
-}
-
-// Compresses a per-element offset table into rows of width w with a
-// per-row base and a uniform inner step of 0 or 1:
-//   offs[r * w + j] == (*base)[r] + j * (*step)
-// Returns false when the offsets do not have that form (the op then
-// cannot join a chain of width w).
-bool BuildRowTable(const std::vector<int64_t>& offs, int64_t w,
-                   std::vector<int64_t>* base, int64_t* step) {
-  const int64_t numel = static_cast<int64_t>(offs.size());
-  if (w <= 0 || numel % w != 0) return false;
-  const int64_t rows = numel / w;
-  base->assign(static_cast<size_t>(rows), 0);
-  *step = w > 1 ? offs[1] - offs[0] : 0;
-  if (*step != 0 && *step != 1) return false;
-  for (int64_t r = 0; r < rows; ++r) {
-    const int64_t b = offs[r * w];
-    (*base)[r] = b;
-    for (int64_t j = 1; j < w; ++j) {
-      if (offs[r * w + j] != b + j * *step) return false;
-    }
-  }
-  return true;
-}
-
-// Innermost-contiguity candidate width for one fused chain member; the
-// final chain width is the gcd over members, re-verified by BuildRowTable.
-int64_t ChainWidthCandidate(const PlanOp& op, int64_t numel) {
-  switch (op.kind) {
-    case trace::OpKind::kUnary:
-    case trace::OpKind::kBinary:
-      return numel;
-    case trace::OpKind::kBroadcastMid:
-      return op.d[2];
-    case trace::OpKind::kBinaryBcast:
-      return op.aux0.empty() ? 1 : op.aux0.back();
-    default:
-      return 1;
-  }
-}
 
 // Identity-copy detection: a Permute whose gather strides match the
 // contiguous row-major strides of the output shape (on all non-size-1
@@ -439,8 +343,8 @@ Result<std::shared_ptr<const InferencePlan>> InferencePlan::Compile(
 
     if (r.kind == trace::OpKind::kQuantLinear) {
       // Quantization scratch rides in the op's a8/rs/c32 slots as vids
-      // until the final vid->offset rewrite — the fusion passes below
-      // reorder and delete ops, so a side vector indexed by op position
+      // until the final vid->offset rewrite — the epilogue pass below
+      // moves and deletes ops, so a side vector indexed by op position
       // would go stale.
       const int64_t m = r.d[0], in_f = r.d[1], out_f = r.d[2];
       op.a8_off = static_cast<int64_t>(values.size());
@@ -460,7 +364,6 @@ Result<std::shared_ptr<const InferencePlan>> InferencePlan::Compile(
 
   plan->stats_.num_traced =
       static_cast<int64_t>(recorder.records().size());
-  plan->stats_.num_ops = static_cast<int64_t>(plan->ops_.size());
 
   // ---- Output location ----
   int64_t output_vid = -1;
@@ -480,89 +383,10 @@ Result<std::shared_ptr<const InferencePlan>> InferencePlan::Compile(
     }
   }
 
-  // ---- Liveness + arena layout (rerun after each fusion pass) ----
-  // Recomputed from scratch over the current op list: vids whose
-  // defining op was fused away stay at def == -1 and get no arena slot.
-  auto recompute_liveness = [&]() {
-    const int64_t n = static_cast<int64_t>(plan->ops_.size());
-    for (ValueInfo& v : values) {
-      v.def = -1;
-      v.last_use = -1;
-      v.offset = -1;
-    }
-    auto use = [&](int64_t vid, int64_t at) {
-      values[vid].last_use = std::max(values[vid].last_use, at);
-    };
-    for (int64_t i = 0; i < n; ++i) {
-      const PlanOp& op = plan->ops_[i];
-      for (size_t j = 0; j < op.in_off.size(); ++j) {
-        if (op.in_const[j] == nullptr) use(op.in_off[j], i);
-      }
-      values[op.out_off].def = i;
-      if (op.kind == trace::OpKind::kQuantLinear) {
-        for (int64_t vid : {op.a8_off, op.rs_off, op.c32_off}) {
-          values[vid].def = i;
-          values[vid].last_use = i;
-        }
-      }
-      if (op.ep_has_bias && op.ep_bias_const == nullptr) {
-        use(op.ep_bias_off, i);
-      }
-      if (op.ep_has_res && op.ep_res_const == nullptr) {
-        use(op.ep_res_off, i);
-      }
-      for (const PlanChainStep& ps : op.chain) {
-        if (ps.is_binary && ps.other_const == nullptr) {
-          use(ps.other_off, i);
-        }
-      }
-    }
-    // The program output (or aliased input) must survive the program.
-    if (output_vid >= 0) values[output_vid].last_use = n;
-    if (plan->output_is_input_) values[0].last_use = n;
-  };
-
-  auto layout_arena = [&]() -> int64_t {
-    const int64_t n = static_cast<int64_t>(plan->ops_.size());
-    ArenaLayout layout;
-    // Per-step alloc/free schedules. Values are allocated at their def
-    // step before that step frees anything, so an op's output can never
-    // overlap its (still-live) inputs — raw kernels forbid aliasing.
-    std::vector<std::vector<int64_t>> defs(n + 1);
-    std::vector<std::vector<int64_t>> frees(n + 1);
-    for (size_t v = 0; v < values.size(); ++v) {
-      if (values[v].def < 0 && v != 0) continue;  // fused away
-      // A never-read output still gets space (its op writes it); its
-      // interval collapses to the def step.
-      const int64_t last = std::max(values[v].last_use, values[v].def);
-      defs[values[v].def + 1].push_back(static_cast<int64_t>(v));
-      if (last >= 0 && last < n) {
-        frees[last + 1].push_back(static_cast<int64_t>(v));
-      }
-    }
-    // Step s handles defs of op s-1's output (and scratch); step 0 is the
-    // plan input. Frees at step s release values last read by op s-1.
-    for (int64_t s = 0; s <= n; ++s) {
-      for (int64_t v : defs[s]) {
-        values[v].offset = layout.Alloc(values[v].numel);
-      }
-      for (int64_t v : frees[s]) {
-        layout.Free(values[v].offset, values[v].numel);
-      }
-    }
-    return layout.end();
-  };
-
-  recompute_liveness();
-  const int64_t unfused_arena_end = layout_arena();
-
   // ---- Fusion (DESIGN.md §11 "Fusion pass") ----
-  // Two rewrites over the SSA op list, both gated by the bitwise
-  // validation runs below exactly like every other compile-time
-  // transform.
+  // One rewrite over the SSA op list, gated by the bitwise validation
+  // runs below exactly like every other compile-time transform.
   int64_t epilogue_absorbed = 0;
-  int64_t chains_emitted = 0;
-  int64_t chain_ops_absorbed = 0;
 
   {
     // ---- GEMM epilogue fusion ----
@@ -647,192 +471,71 @@ Result<std::shared_ptr<const InferencePlan>> InferencePlan::Compile(
     plan->ops_ = std::move(kept);
   }
 
-  {
-    // ---- Elementwise-chain fusion ----
-    // A run of adjacent elementwise ops where each output flows straight
-    // into the next op (sole consumer, elements read in identity order)
-    // collapses into one kFusedChain executed as a single
-    // read-modify-write sweep (raw::FusedChainRows): the chain's
-    // intermediates never touch memory. Broadcast operands are
-    // compressed into per-row base tables; the compression is verified
-    // numerically against the exact offsets the unfused kernels walk,
-    // and any mismatch simply leaves the run unfused.
-    std::vector<int64_t> uses(values.size(), 0);
-    for (const PlanOp& op : plan->ops_) {
-      for (size_t j = 0; j < op.in_off.size(); ++j) {
-        if (op.in_const[j] == nullptr) ++uses[op.in_off[j]];
-      }
-      // Epilogue slots read values too; miss them and a chain could
-      // swallow a value a fused GEMM still needs.
-      if (op.ep_has_bias && op.ep_bias_const == nullptr) {
-        ++uses[op.ep_bias_off];
-      }
-      if (op.ep_has_res && op.ep_res_const == nullptr) {
-        ++uses[op.ep_res_off];
+  // ---- Liveness -> arena offsets ----
+  // Recomputed from scratch over the fused op list: vids whose defining
+  // op was fused away stay at def == -1 and get no arena slot.
+  const int64_t num_ops = static_cast<int64_t>(plan->ops_.size());
+  auto use = [&](int64_t vid, int64_t at) {
+    values[vid].last_use = std::max(values[vid].last_use, at);
+  };
+  for (ValueInfo& v : values) v = {v.numel, -1, -1, -1};
+  for (int64_t i = 0; i < num_ops; ++i) {
+    const PlanOp& op = plan->ops_[i];
+    for (size_t j = 0; j < op.in_off.size(); ++j) {
+      if (op.in_const[j] == nullptr) use(op.in_off[j], i);
+    }
+    values[op.out_off].def = i;
+    if (op.kind == trace::OpKind::kQuantLinear) {
+      for (int64_t vid : {op.a8_off, op.rs_off, op.c32_off}) {
+        values[vid].def = i;
+        values[vid].last_use = i;
       }
     }
-
-    // Whether operand `slot` of an eligible op reads element e of the
-    // output index space from offset e of its buffer (the "flowing"
-    // contract: the chain keeps that value in a register).
-    auto identity_slot = [&](const PlanOp& op, int slot) {
-      switch (op.kind) {
-        case trace::OpKind::kUnary:
-        case trace::OpKind::kBroadcastMid:
-          return slot == 0;
-        case trace::OpKind::kBinary:
-          return true;
-        case trace::OpKind::kBinaryBcast: {
-          const std::vector<int64_t> offs =
-              OperandOffsets(op, slot, op.out_numel);
-          for (int64_t e = 0; e < op.out_numel; ++e) {
-            if (offs[e] != e) return false;
-          }
-          return true;
-        }
-        default:
-          return false;
-      }
-    };
-
-    size_t i = 0;
-    std::vector<bool> dead(plan->ops_.size(), false);
-    while (i < plan->ops_.size()) {
-      const PlanOp& head = plan->ops_[i];
-      if (!ChainEligibleKind(head.kind) || !identity_slot(head, 0)) {
-        ++i;
-        continue;
-      }
-      const int64_t numel = head.out_numel;
-      // Extend the run while the next op directly consumes the previous
-      // output as its flowing operand.
-      std::vector<size_t> run = {i};
-      std::vector<int> flow_slot = {0};
-      while (static_cast<int64_t>(run.size()) < kMaxChainSteps) {
-        const PlanOp& prev = plan->ops_[run.back()];
-        const int64_t out_vid = prev.out_off;
-        if (out_vid == output_vid || uses[out_vid] != 1) break;
-        const size_t nx = run.back() + 1;
-        if (nx >= plan->ops_.size()) break;
-        const PlanOp& next = plan->ops_[nx];
-        if (!ChainEligibleKind(next.kind) || next.out_numel != numel) {
-          break;
-        }
-        int fs = -1;
-        for (int s = 0; s < static_cast<int>(next.in_off.size()); ++s) {
-          if (next.in_const[s] == nullptr && next.in_off[s] == out_vid) {
-            fs = s;
-            break;
-          }
-        }
-        if (fs < 0 || !identity_slot(next, fs)) break;
-        run.push_back(nx);
-        flow_slot.push_back(fs);
-      }
-      if (run.size() < 2) {
-        ++i;
-        continue;
-      }
-
-      // Chain width: every broadcast operand must be constant within a
-      // row of w columns (or dense) — gcd of the per-member candidates.
-      int64_t w = numel;
-      for (size_t m : run) {
-        w = std::gcd(w, ChainWidthCandidate(plan->ops_[m], numel));
-      }
-      const int64_t rows = numel / w;
-
-      // Build the step list, verifying each non-flowing operand's
-      // row-base compression numerically.
-      PlanOp fused;
-      fused.kind = trace::OpKind::kFusedChain;
-      fused.d[0] = rows;
-      fused.d[1] = w;
-      fused.out_numel = numel;
-      bool ok = true;
-      for (size_t k = 0; k < run.size() && ok; ++k) {
-        const PlanOp& m = plan->ops_[run[k]];
-        PlanChainStep st;
-        switch (m.kind) {
-          case trace::OpKind::kUnary:
-            st.is_binary = false;
-            st.sub = m.sub;
-            st.scalar = m.scalar;
-            break;
-          case trace::OpKind::kBinary:
-          case trace::OpKind::kBinaryBcast:
-          case trace::OpKind::kBroadcastMid: {
-            st.is_binary = true;
-            st.prev_is_a = flow_slot[k] == 0;
-            const int other = flow_slot[k] == 0 ? 1 : 0;
-            if (m.kind == trace::OpKind::kBroadcastMid) {
-              // sub == 1 traces SubBroadcastMid, 0 AddBroadcastMid.
-              st.sub = static_cast<int32_t>(m.sub != 0 ? raw::Bin::kSub
-                                                       : raw::Bin::kAdd);
-            } else {
-              st.sub = m.sub;
-            }
-            st.other_const = m.in_const[other];
-            st.other_off = m.in_off[other];
-            std::vector<int64_t> base;
-            int64_t step = 0;
-            ok = BuildRowTable(OperandOffsets(m, other, numel), w, &base,
-                               &step);
-            if (!ok) break;
-            st.base_idx = static_cast<int64_t>(fused.chain_bases.size());
-            st.inner_step = step;
-            fused.chain_bases.push_back(std::move(base));
-            break;
-          }
-          default:
-            ok = false;
-            break;
-        }
-        fused.chain.push_back(st);
-      }
-      if (!ok) {
-        ++i;
-        continue;
-      }
-
-      const PlanOp& first = plan->ops_[run.front()];
-      const PlanOp& last = plan->ops_[run.back()];
-      fused.in_const.push_back(first.in_const[0]);
-      fused.in_off.push_back(first.in_off[0]);
-      fused.out_off = last.out_off;
-      chains_emitted += 1;
-      chain_ops_absorbed += static_cast<int64_t>(run.size());
-      // The fused op takes the run's last slot (all operands defined by
-      // then); earlier members die.
-      const size_t tail = run.back();
-      for (size_t k = 0; k + 1 < run.size(); ++k) dead[run[k]] = true;
-      plan->ops_[tail] = std::move(fused);
-      i = tail + 1;
+    if (op.ep_has_bias && op.ep_bias_const == nullptr) {
+      use(op.ep_bias_off, i);
     }
-    std::vector<PlanOp> kept;
-    kept.reserve(plan->ops_.size());
-    for (size_t idx = 0; idx < plan->ops_.size(); ++idx) {
-      if (!dead[idx]) kept.push_back(std::move(plan->ops_[idx]));
+    if (op.ep_has_res && op.ep_res_const == nullptr) {
+      use(op.ep_res_off, i);
     }
-    plan->ops_ = std::move(kept);
   }
-
-  // ---- Final liveness -> arena offsets ----
-  recompute_liveness();
-  const int64_t arena_end = layout_arena();
-  plan->arena_floats_ = std::max<int64_t>(1, arena_end);
+  // The program output (or aliased input) must survive the program.
+  if (output_vid >= 0) values[output_vid].last_use = num_ops;
+  if (plan->output_is_input_) values[0].last_use = num_ops;
+  {
+    ArenaLayout layout;
+    // Per-step alloc/free schedules. Values are allocated at their def
+    // step before that step frees anything, so an op's output can never
+    // overlap its (still-live) inputs — raw kernels forbid aliasing.
+    std::vector<std::vector<int64_t>> defs(num_ops + 1);
+    std::vector<std::vector<int64_t>> frees(num_ops + 1);
+    for (size_t v = 0; v < values.size(); ++v) {
+      if (values[v].def < 0 && v != 0) continue;  // fused away
+      // A never-read output still gets space (its op writes it); its
+      // interval collapses to the def step.
+      const int64_t last = std::max(values[v].last_use, values[v].def);
+      defs[values[v].def + 1].push_back(static_cast<int64_t>(v));
+      if (last >= 0 && last < num_ops) {
+        frees[last + 1].push_back(static_cast<int64_t>(v));
+      }
+    }
+    // Step s handles defs of op s-1's output (and scratch); step 0 is the
+    // plan input. Frees at step s release values last read by op s-1.
+    for (int64_t step = 0; step <= num_ops; ++step) {
+      for (int64_t v : defs[step]) {
+        values[v].offset = layout.Alloc(values[v].numel);
+      }
+      for (int64_t v : frees[step]) {
+        layout.Free(values[v].offset, values[v].numel);
+      }
+    }
+    plan->arena_floats_ = std::max<int64_t>(1, layout.end());
+  }
   plan->stats_.arena_floats = plan->arena_floats_;
   plan->stats_.arena_bytes = plan->arena_floats_ * sizeof(float);
-  plan->stats_.num_ops = static_cast<int64_t>(plan->ops_.size());
-  plan->stats_.fused_chains = chains_emitted;
-  plan->stats_.fused_chain_ops = chain_ops_absorbed;
+  plan->stats_.num_ops = num_ops;
   // Every absorbed op was one full read(+read)+write sweep over the
-  // tensor; a chain of k ops still makes one sweep, so k-1 disappear.
-  plan->stats_.passes_eliminated =
-      epilogue_absorbed + (chain_ops_absorbed - chains_emitted);
-  plan->stats_.arena_saved_bytes =
-      std::max<int64_t>(0, unfused_arena_end - arena_end) *
-      static_cast<int64_t>(sizeof(float));
+  // tensor.
+  plan->stats_.passes_eliminated = epilogue_absorbed;
   for (const PlanOp& op : plan->ops_) {
     if (op.ep_has_bias || op.ep_has_res) plan->stats_.fused_epilogues += 1;
     plan->stats_.macs += op.macs;
@@ -861,11 +564,6 @@ Result<std::shared_ptr<const InferencePlan>> InferencePlan::Compile(
     }
     if (op.ep_has_res && op.ep_res_const == nullptr) {
       op.ep_res_off = values[op.ep_res_off].offset;
-    }
-    for (PlanChainStep& ps : op.chain) {
-      if (ps.is_binary && ps.other_const == nullptr) {
-        ps.other_off = values[ps.other_off].offset;
-      }
     }
   }
 

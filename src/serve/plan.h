@@ -78,10 +78,7 @@ struct PlanStats {
   int64_t prepacked_bytes = 0;
   // Fusion pass (DESIGN.md §11 "Fusion pass"):
   int64_t fused_epilogues = 0;   // GEMMs that absorbed bias/act/residual
-  int64_t fused_chains = 0;      // kFusedChain ops emitted
-  int64_t fused_chain_ops = 0;   // elementwise ops absorbed into chains
-  int64_t passes_eliminated = 0; // whole memory passes removed by fusion
-  int64_t arena_saved_bytes = 0; // arena shrink vs the unfused layout
+  int64_t passes_eliminated = 0; // bias/act and residual ops absorbed
   // Σ PlanOp::macs: the multiply-accumulates one execution performs, the
   // same count the eager forward charges (tensor/ops.h MAC counter).
   int64_t macs = 0;

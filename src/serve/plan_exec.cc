@@ -141,28 +141,7 @@ inline void RunOp(const PlanOp& op, float* base) {
                          op.scalar, op.sub != 0 ? in(3) : nullptr);
       AddMacCount(op.macs);
       return;
-    case trace::OpKind::kFusedChain: {
-      // Resolve the compile-time steps against this arena on the stack;
-      // chains are short (kMaxChainSteps) so this is a handful of loads.
-      raw::ChainStep steps[kMaxChainSteps];
-      const int64_t nsteps = static_cast<int64_t>(op.chain.size());
-      for (int64_t s = 0; s < nsteps; ++s) {
-        const PlanChainStep& ps = op.chain[s];
-        raw::ChainStep& st = steps[s];
-        st.is_binary = ps.is_binary;
-        st.prev_is_a = ps.prev_is_a;
-        st.sub = ps.sub;
-        st.scalar = ps.scalar;
-        if (ps.is_binary) {
-          st.other = ps.other_const != nullptr ? ps.other_const
-                                               : base + ps.other_off;
-          st.row_base = op.chain_bases[ps.base_idx].data();
-          st.inner_step = ps.inner_step;
-        }
-      }
-      raw::FusedChainRows(in(0), out, op.d[0], op.d[1], steps, nsteps);
-      return;
-    }
+    case trace::OpKind::kFusedChain:  // never emitted
     case trace::OpKind::kNumKinds:
       break;
   }

@@ -24,22 +24,6 @@
 namespace lipformer {
 namespace serve {
 
-// One step of a compiled elementwise chain (kFusedChain ops), the
-// compile-time mirror of raw::ChainStep: the other operand of a binary
-// step is stored as constant pointer / arena offset plus an index into
-// the owning op's chain_bases row table, and resolved against the arena
-// at execution time.
-struct PlanChainStep {
-  bool is_binary = false;
-  bool prev_is_a = true;  // flowing value is the binary's left operand
-  int32_t sub = 0;        // raw::Bin when binary, raw::Un otherwise
-  float scalar = 0.0f;
-  const float* other_const = nullptr;  // binary: constant operand, or
-  int64_t other_off = -1;              // arena offset when null
-  int64_t base_idx = -1;               // chain_bases table for this step
-  int64_t inner_step = 0;              // 0 (broadcast) or 1 (dense) cols
-};
-
 // One compiled op. Dim slots d[] follow trace::TraceRecord exactly (see
 // tensor/op_trace.h); aux slots are kind-specific:
 //   kBinaryBcast: aux0=oshape aux1=sa aux2=sb
@@ -47,7 +31,6 @@ struct PlanChainStep {
 //   kPermute:     aux0=oshape aux1=gather
 //   kConcat:      aux0=per-input mids, aux1=per-input slot offsets
 //   kIndexSelect: aux0=indices
-//   kFusedChain:  d0=rows d1=w, chain/chain_bases below
 struct PlanOp {
   trace::OpKind kind = trace::OpKind::kBinary;
   int32_t sub = 0;
@@ -99,21 +82,11 @@ struct PlanOp {
   int32_t ep_res_op = 0;  // raw::Bin
   bool ep_res_is_lhs = false;
 
-  // kFusedChain: the step list plus the plan-owned per-row offset tables
-  // binary steps index through (PlanChainStep::base_idx).
-  std::vector<PlanChainStep> chain;
-  std::vector<std::vector<int64_t>> chain_bases;
-
   // MAC charge of kGemm / kQuantLinear / kAttention. The executor adds it
   // to the MAC counter for kGemm and kAttention; QuantLinearForward
   // charges its own.
   int64_t macs = 0;
 };
-
-// Longest run of elementwise ops a single kFusedChain op may absorb; the
-// plan compiler splits longer runs. Bounds the resolved-step stack array
-// in the executor.
-inline constexpr int64_t kMaxChainSteps = 16;
 
 // Per-kind execution counters, aggregated across all arenas sharing the
 // program. Written only when a profile is passed to ExecutePlanProgram

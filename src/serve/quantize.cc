@@ -57,7 +57,7 @@ Status QuantizeBundleFile(const std::string& in_path,
   std::unique_ptr<Forecaster> model = CreateModel(model_name, dims, options);
   model->SetTraining(false);
   model->SetRequiresGrad(false);
-  LIPF_RETURN_IF_ERROR(model->LoadParameters(in_path));
+  LIPF_RETURN_IF_ERROR(model->LoadParameters(ckpt, in_path));
 
   // Parameter names owned by a Linear as its weight matrix.
   std::map<std::string, const Linear*> linear_weights;

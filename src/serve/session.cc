@@ -274,7 +274,7 @@ Result<BundleModel> LoadBundleModel(const std::string& path) {
     LIPF_RETURN_IF_ERROR(
         LoadQuantizedParameters(bundle.model.get(), ckpt, path));
   } else {
-    LIPF_RETURN_IF_ERROR(bundle.model->LoadParameters(path));
+    LIPF_RETURN_IF_ERROR(bundle.model->LoadParameters(ckpt, path));
   }
 
   const CheckpointTensor* mean = ckpt.Find(kScalerMeanTensor);

@@ -55,8 +55,8 @@ enum class OpKind : int32_t {
   kProbSparseMask,       // raw::ProbSparseMaskRows
   kTimeDelayAggregate,   // raw::TimeDelayAggregateRows
   kAttention,      // raw::AttentionRows
-  // Never traced: synthesized by the plan compiler's elementwise-chain
-  // fusion pass (serve/plan.cc) and executed via raw::FusedChainRows.
+  // Never emitted. The name stays while BENCHMARK.json lists
+  // plan.op_us.fused_chain.* (benchmark/ zero-fills every kind's metric).
   kFusedChain,
   kNumKinds,
 };

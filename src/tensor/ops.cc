@@ -69,31 +69,67 @@ Shape BroadcastStrides(const Shape& shape, const Shape& out_shape) {
 }
 
 // Decomposes linear index `i` over `shape` and returns the dot product of
-// the multi-index with `strides` (the broadcast offset of element i); also
-// fills `idx` with the multi-index when non-null.
-int64_t StridedOffset(int64_t i, const Shape& shape, const Shape& strides,
-                      std::vector<int64_t>* idx) {
+// the multi-index with `strides` (the broadcast offset of element i).
+int64_t StridedOffset(int64_t i, const Shape& shape, const Shape& strides) {
   int64_t off = 0;
   for (int64_t d = static_cast<int64_t>(shape.size()) - 1; d >= 0; --d) {
-    const int64_t id = i % shape[d];
+    off += (i % shape[d]) * strides[d];
     i /= shape[d];
-    off += id * strides[d];
-    if (idx != nullptr) (*idx)[d] = id;
   }
   return off;
 }
 
-// Raw-pointer variant of StridedOffset for the out-variant kernels.
-int64_t StridedOffsetRaw(int64_t i, const int64_t* shape,
-                         const int64_t* strides, int64_t nd, int64_t* idx) {
-  int64_t off = 0;
-  for (int64_t d = nd - 1; d >= 0; --d) {
-    const int64_t id = i % shape[d];
-    i /= shape[d];
-    off += id * strides[d];
-    if (idx != nullptr) idx[d] = id;
+// The walk of the strided kernels (raw::BinaryBcast, raw::PermuteCopy):
+// a multi-index over a row-major `shape` of nd <= raw::kMaxStridedRank
+// dims plus the matching offset into each of N strided operands. A chunk
+// seeds it at its first position and steps it serially; all of its state
+// sits in these fixed-size arrays, so a walk allocates nothing.
+template <int N>
+struct Odometer {
+  const int64_t* shape;
+  const int64_t* strides[N];
+  int64_t nd;
+  int64_t idx[raw::kMaxStridedRank];
+  int64_t off[N];
+
+  void Seed(int64_t pos) {
+    for (int k = 0; k < N; ++k) off[k] = 0;
+    for (int64_t d = nd - 1; d >= 0; --d) {
+      idx[d] = pos % shape[d];
+      pos /= shape[d];
+      for (int k = 0; k < N; ++k) off[k] += idx[d] * strides[k][d];
+    }
   }
-  return off;
+
+  void Next() {
+    for (int64_t d = nd - 1; d >= 0; --d) {
+      for (int k = 0; k < N; ++k) off[k] += strides[k][d];
+      if (++idx[d] < shape[d]) return;
+      idx[d] = 0;
+      for (int k = 0; k < N; ++k) off[k] -= strides[k][d] * shape[d];
+    }
+  }
+};
+
+// Walks numel output elements as rows of w, the row odometer `rows`
+// ranging over the dims outside a row. Chunks split the elements on
+// `grain` as the elementwise kernels do, so a chunk may start or end
+// mid-row; each seeds its own copy of the odometer at its first row and
+// calls row(offsets, j, i, len) per (partial) row: the operand offsets of
+// the row's first element, the first column j, the output index i of
+// column j, and the column count.
+template <int N, typename Row>
+void ForEachRow(const Odometer<N>& rows, int64_t w, int64_t numel,
+                int64_t grain, Row row) {
+  ParallelFor(numel, grain, [&](int64_t begin, int64_t end) {
+    Odometer<N> walk = rows;
+    walk.Seed(begin / w);
+    for (int64_t i = begin, j = begin % w; i < end; j = 0, walk.Next()) {
+      const int64_t len = std::min(w - j, end - i);
+      row(walk.off, j, i, len);
+      i += len;
+    }
+  });
 }
 
 // Splits shape into (outer, dim_size, inner) around `dim` for reductions.
@@ -115,8 +151,8 @@ int64_t NormalizeDim(int64_t dim, int64_t ndim) {
 
 // tanh-approximation GELU derivative; the forward lives out-of-line in
 // raw::GeluFwd (ops_raw.h) so every caller — standalone Gelu, the fused
-// AddBiasAct epilogue, the GEMM epilogue, the fused chain — shares one
-// compiled copy and fused and unfused paths agree bit for bit.
+// AddBiasAct epilogue, the GEMM epilogue — shares one compiled copy and
+// fused and unfused paths agree bit for bit.
 constexpr float kGeluC = 0.7978845608028654f;  // sqrt(2/pi)
 
 inline float GeluGrad(float x) {
@@ -186,31 +222,6 @@ void BinarySameT(const float* pa, const float* pb, float* po, int64_t n,
 }
 
 template <typename F>
-void BinaryBcastT(const float* pa, const float* pb, float* po,
-                  const int64_t* oshape, const int64_t* sa,
-                  const int64_t* sb, int64_t nd, int64_t numel, F f) {
-  ParallelFor(numel, kElementwiseGrain, [&](int64_t begin, int64_t end) {
-    // Seed the odometer at the chunk's first element, then walk serially.
-    std::vector<int64_t> idx(nd, 0);
-    int64_t oa = StridedOffsetRaw(begin, oshape, sa, nd, idx.data());
-    int64_t ob = StridedOffsetRaw(begin, oshape, sb, nd, nullptr);
-    for (int64_t i = begin; i < end; ++i) {
-      po[i] = f(pa[oa], pb[ob]);
-      // Increment the multi-index (odometer).
-      for (int64_t d = nd - 1; d >= 0; --d) {
-        ++idx[d];
-        oa += sa[d];
-        ob += sb[d];
-        if (idx[d] < oshape[d]) break;
-        idx[d] = 0;
-        oa -= sa[d] * oshape[d];
-        ob -= sb[d] * oshape[d];
-      }
-    }
-  });
-}
-
-template <typename F>
 void UnaryT(const float* pa, float* po, int64_t n, F f) {
   ParallelFor(n, kElementwiseGrain, [&](int64_t begin, int64_t end) {
     for (int64_t i = begin; i < end; ++i) po[i] = f(pa[i]);
@@ -219,8 +230,8 @@ void UnaryT(const float* pa, float* po, int64_t n, F f) {
 
 // Both dispatches route through ApplyBin/ApplyUn (ops_raw.h) with a
 // compile-time op, which folds each lambda to the bare operation — the
-// fused chain interpreter shares the same definitions with a runtime op,
-// so there is exactly one source of scalar semantics per operation.
+// GEMM epilogue shares the same definitions, so there is exactly one
+// source of scalar semantics per operation.
 template <typename F>
 void BinaryDispatch(Bin op, F run) {
   switch (op) {
@@ -303,8 +314,59 @@ void BinarySame(Bin op, const float* a, const float* b, float* out,
 void BinaryBcast(Bin op, const float* a, const float* b, float* out,
                  const int64_t* oshape, const int64_t* sa, const int64_t* sb,
                  int64_t nd, int64_t numel) {
+  LIPF_CHECK_LE(nd, kMaxStridedRank);
+  if (numel == 0) return;
+  // Size-1 output dims index nothing: drop them.
+  int64_t shape[kMaxStridedRank], stride_a[kMaxStridedRank],
+      stride_b[kMaxStridedRank];
+  int64_t n = 0;
+  for (int64_t d = 0; d < nd; ++d) {
+    if (oshape[d] == 1) continue;
+    shape[n] = oshape[d];
+    stride_a[n] = sa[d];
+    stride_b[n] = sb[d];
+    ++n;
+  }
+  // The row: the trailing dims along which each operand stays contiguous
+  // (dense) or constant (scalar), as fixed by the innermost dim. Anything
+  // else walks rows of one element.
+  bool a_dense = true, b_dense = true;
+  int64_t w = 1;
+  if (n > 0) {
+    const int64_t ia = stride_a[n - 1], ib = stride_b[n - 1];
+    if ((ia == 0 || ia == 1) && (ib == 0 || ib == 1) && ia + ib > 0) {
+      a_dense = ia == 1;
+      b_dense = ib == 1;
+      while (n > 0 && stride_a[n - 1] == (a_dense ? w : 0) &&
+             stride_b[n - 1] == (b_dense ? w : 0)) {
+        w *= shape[--n];
+      }
+    }
+  }
+  const Odometer<2> rows{shape, {stride_a, stride_b}, n, {}, {}};
   BinaryDispatch(op, [&](auto f) {
-    BinaryBcastT(a, b, out, oshape, sa, sb, nd, numel, f);
+    auto run = [&](auto row) {
+      ForEachRow(rows, w, numel, kElementwiseGrain,
+                 [&](const int64_t* off, int64_t j, int64_t i, int64_t len) {
+                   row(a + off[0] + (a_dense ? j : 0),
+                       b + off[1] + (b_dense ? j : 0), out + i, len);
+                 });
+    };
+    if (a_dense && b_dense) {
+      run([f](const float* x, const float* y, float* o, int64_t len) {
+        for (int64_t j = 0; j < len; ++j) o[j] = f(x[j], y[j]);
+      });
+    } else if (a_dense) {
+      run([f](const float* x, const float* y, float* o, int64_t len) {
+        const float s = *y;
+        for (int64_t j = 0; j < len; ++j) o[j] = f(x[j], s);
+      });
+    } else {
+      run([f](const float* x, const float* y, float* o, int64_t len) {
+        const float s = *x;
+        for (int64_t j = 0; j < len; ++j) o[j] = f(s, y[j]);
+      });
+    }
   });
 }
 
@@ -314,23 +376,18 @@ void Unary(Un op, float s, const float* a, float* out, int64_t n) {
 
 void PermuteCopy(const float* pi, float* po, const int64_t* oshape,
                  const int64_t* gather, int64_t nd, int64_t numel) {
-  // Gather parallelized over output positions; chunks write disjoint
-  // ranges of po, so the result is chunking-independent.
-  ParallelFor(numel, kCopyGrain, [&](int64_t begin, int64_t end) {
-    // Seed the odometer at the chunk's first element, then walk serially.
-    std::vector<int64_t> idx(nd, 0);
-    int64_t src = StridedOffsetRaw(begin, oshape, gather, nd, idx.data());
-    for (int64_t i = begin; i < end; ++i) {
-      po[i] = pi[src];
-      for (int64_t d = nd - 1; d >= 0; --d) {
-        ++idx[d];
-        src += gather[d];
-        if (idx[d] < oshape[d]) break;
-        idx[d] = 0;
-        src -= gather[d] * oshape[d];
-      }
-    }
-  });
+  LIPF_CHECK_LE(nd, kMaxStridedRank);
+  // Rows are the innermost output dim, read at stride g; chunks write
+  // disjoint ranges of po, so the result is chunking-independent.
+  const int64_t outer = std::max<int64_t>(nd - 1, 0);
+  const int64_t w = nd > 0 ? oshape[outer] : 1;
+  const int64_t g = nd > 0 ? gather[outer] : 0;
+  const Odometer<1> rows{oshape, {gather}, outer, {}, {}};
+  ForEachRow(rows, w, numel, kCopyGrain,
+             [&](const int64_t* off, int64_t j, int64_t i, int64_t len) {
+               const float* src = pi + off[0] + j * g;
+               for (int64_t k = 0; k < len; ++k) po[i + k] = src[k * g];
+             });
 }
 
 void SliceCopy(const float* pi, float* po, int64_t outer, int64_t mid,
@@ -512,35 +569,13 @@ void AddBiasActRows(const float* x, const float* bias, float* out,
   AddBiasEpilogueT(x, bias, out, rows, c, [](float z) { return z; });
 }
 
-namespace {
-
-template <typename F>
-void BroadcastMidT(const float* pa, const float* pb, float* po, int64_t rows,
-                   int64_t t, int64_t c, F f) {
-  ParallelFor(rows, GrainFor(kElementwiseGrain, c),
-              [&](int64_t begin, int64_t end) {
-                for (int64_t r = begin; r < end; ++r) {
-                  const float* a_row = pa + r * c;
-                  const float* b_row = pb + (r / t) * c;
-                  float* out_row = po + r * c;
-                  for (int64_t j = 0; j < c; ++j) {
-                    out_row[j] = f(a_row[j], b_row[j]);
-                  }
-                }
-              });
-}
-
-}  // namespace
-
 void BroadcastMidRows(bool sub_op, const float* a, const float* b,
                       float* out, int64_t rows, int64_t t, int64_t c) {
-  if (sub_op) {
-    BroadcastMidT(a, b, out, rows, t, c,
-                  [](float x, float y) { return ApplyBin(Bin::kSub, x, y); });
-  } else {
-    BroadcastMidT(a, b, out, rows, t, c,
-                  [](float x, float y) { return ApplyBin(Bin::kAdd, x, y); });
-  }
+  const int64_t shape[3] = {t > 0 ? rows / t : 0, t, c};
+  const int64_t sa[3] = {t * c, c, 1};
+  const int64_t sb[3] = {c, 0, 1};
+  BinaryBcast(sub_op ? Bin::kSub : Bin::kAdd, a, b, out, shape, sa, sb, 3,
+              rows * c);
 }
 
 void GemmEpilogueRegion(float* c, int64_t ldc, int64_t r0, int64_t nrows,
@@ -613,126 +648,6 @@ void GemmEpilogueRegion(float* c, int64_t ldc, int64_t r0, int64_t nrows,
       }
     }
   }
-}
-
-namespace {
-
-// One binary chain step over one row, op and operand pattern resolved at
-// compile time so the sweep vectorizes (a per-element interpreter was
-// measurably slower than the unfused passes it replaced). src may alias
-// dst (in-place update from the second step on); reads and writes line
-// up per element, and ApplyBin is a single IEEE op, so the value stream
-// is identical to the unfused kernel's.
-template <Bin kOp, bool kPrevIsA, bool kDense>
-void ChainBinRow(const float* src, const float* other, float* dst,
-                 int64_t w) {
-  for (int64_t j = 0; j < w; ++j) {
-    const float o = other[kDense ? j : 0];
-    dst[j] = kPrevIsA ? ApplyBin(kOp, src[j], o) : ApplyBin(kOp, o, src[j]);
-  }
-}
-
-template <Bin kOp>
-void ChainBinRowOp(bool prev_is_a, bool dense, const float* src,
-                   const float* other, float* dst, int64_t w) {
-  if (prev_is_a) {
-    if (dense) {
-      ChainBinRow<kOp, true, true>(src, other, dst, w);
-    } else {
-      ChainBinRow<kOp, true, false>(src, other, dst, w);
-    }
-  } else if (dense) {
-    ChainBinRow<kOp, false, true>(src, other, dst, w);
-  } else {
-    ChainBinRow<kOp, false, false>(src, other, dst, w);
-  }
-}
-
-template <Un kOp>
-void ChainUnRow(float s, const float* src, float* dst, int64_t w) {
-  for (int64_t j = 0; j < w; ++j) dst[j] = ApplyUn(kOp, s, src[j]);
-}
-
-}  // namespace
-
-void FusedChainRows(const float* in, float* out, int64_t rows, int64_t w,
-                    const ChainStep* steps, int64_t nsteps) {
-  // Same ParallelFor grain the unfused elementwise kernels use; chunk
-  // boundaries are shape-derived so outputs are thread-count independent.
-  // Each step runs as its own tight loop over the (cache-hot) row —
-  // separate loops per step mean the compiler cannot contract operations
-  // across steps into FMAs, keeping the chain bitwise identical to the
-  // sequence of unfused passes.
-  ParallelFor(rows, GrainFor(kElementwiseGrain, w),
-              [&](int64_t begin, int64_t end) {
-                for (int64_t r = begin; r < end; ++r) {
-                  const float* src = in + r * w;
-                  float* dst = out + r * w;
-                  for (int64_t s = 0; s < nsteps; ++s) {
-                    const ChainStep& st = steps[s];
-                    if (st.is_binary) {
-                      const float* other = st.other + st.row_base[r];
-                      const bool dense = st.inner_step != 0;
-                      switch (static_cast<Bin>(st.sub)) {
-                        case Bin::kAdd:
-                          ChainBinRowOp<Bin::kAdd>(st.prev_is_a, dense, src,
-                                                   other, dst, w);
-                          break;
-                        case Bin::kSub:
-                          ChainBinRowOp<Bin::kSub>(st.prev_is_a, dense, src,
-                                                   other, dst, w);
-                          break;
-                        case Bin::kMul:
-                          ChainBinRowOp<Bin::kMul>(st.prev_is_a, dense, src,
-                                                   other, dst, w);
-                          break;
-                        case Bin::kDiv:
-                          ChainBinRowOp<Bin::kDiv>(st.prev_is_a, dense, src,
-                                                   other, dst, w);
-                          break;
-                        case Bin::kMax:
-                          ChainBinRowOp<Bin::kMax>(st.prev_is_a, dense, src,
-                                                   other, dst, w);
-                          break;
-                        case Bin::kMin:
-                          ChainBinRowOp<Bin::kMin>(st.prev_is_a, dense, src,
-                                                   other, dst, w);
-                          break;
-                      }
-                    } else {
-                      switch (static_cast<Un>(st.sub)) {
-                        case Un::kAddScalar:
-                          ChainUnRow<Un::kAddScalar>(st.scalar, src, dst, w);
-                          break;
-                        case Un::kMulScalar:
-                          ChainUnRow<Un::kMulScalar>(st.scalar, src, dst, w);
-                          break;
-                        case Un::kNeg:
-                          ChainUnRow<Un::kNeg>(st.scalar, src, dst, w);
-                          break;
-                        case Un::kSqrt:
-                          ChainUnRow<Un::kSqrt>(st.scalar, src, dst, w);
-                          break;
-                        case Un::kAbs:
-                          ChainUnRow<Un::kAbs>(st.scalar, src, dst, w);
-                          break;
-                        case Un::kRelu:
-                          ChainUnRow<Un::kRelu>(st.scalar, src, dst, w);
-                          break;
-                        default:
-                          // Transcendentals bottom out in opaque libm
-                          // calls; a runtime-dispatch loop loses nothing.
-                          for (int64_t j = 0; j < w; ++j) {
-                            dst[j] = ApplyUn(static_cast<Un>(st.sub),
-                                             st.scalar, src[j]);
-                          }
-                          break;
-                      }
-                    }
-                    src = dst;  // later steps update the row in place
-                  }
-                }
-              });
 }
 
 }  // namespace raw
@@ -894,8 +809,8 @@ Tensor MatMulImpl(const Tensor& a, const Tensor& b, bool trans_a,
   std::vector<int64_t> a_idx(nbatch);
   std::vector<int64_t> b_idx(nbatch);
   for (int64_t bi = 0; bi < nbatch; ++bi) {
-    a_idx[bi] = StridedOffset(bi, batch, sa, nullptr);
-    b_idx[bi] = StridedOffset(bi, batch, sb, nullptr);
+    a_idx[bi] = StridedOffset(bi, batch, sa);
+    b_idx[bi] = StridedOffset(bi, batch, sb);
   }
 
   GemmBatch gb;
@@ -987,8 +902,8 @@ Tensor MatMulReference(const Tensor& a_in, const Tensor& b_in) {
   float* po_base = out.data();
 
   for (int64_t bi = 0; bi < nbatch; ++bi) {
-    const float* pa = pa_base + StridedOffset(bi, batch, sa, nullptr) * a_mat;
-    const float* pb = pb_base + StridedOffset(bi, batch, sb, nullptr) * b_mat;
+    const float* pa = pa_base + StridedOffset(bi, batch, sa) * a_mat;
+    const float* pb = pb_base + StridedOffset(bi, batch, sb) * b_mat;
     for (int64_t i = 0; i < m; ++i) {
       const float* pa_row = pa + i * k;
       float* po_row = po_base + bi * o_mat + i * n;
@@ -1278,24 +1193,9 @@ Tensor BroadcastTo(const Tensor& t, const Shape& shape) {
       << "cannot broadcast " << ShapeToString(t.shape()) << " to "
       << ShapeToString(shape);
   Tensor out = Tensor::Empty(shape);
-  const int64_t nd = static_cast<int64_t>(shape.size());
   const Shape st = BroadcastStrides(t.shape(), shape);
-  const float* pi = t.data();
-  float* po = out.data();
-  ParallelFor(out.numel(), kCopyGrain, [&](int64_t begin, int64_t end) {
-    std::vector<int64_t> idx(nd, 0);
-    int64_t src = StridedOffset(begin, shape, st, &idx);
-    for (int64_t i = begin; i < end; ++i) {
-      po[i] = pi[src];
-      for (int64_t d = nd - 1; d >= 0; --d) {
-        ++idx[d];
-        src += st[d];
-        if (idx[d] < shape[d]) break;
-        idx[d] = 0;
-        src -= st[d] * shape[d];
-      }
-    }
-  });
+  raw::PermuteCopy(t.data(), out.data(), shape.data(), st.data(),
+                   static_cast<int64_t>(shape.size()), out.numel());
   return out;
 }
 

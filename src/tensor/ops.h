@@ -172,8 +172,8 @@ Tensor AddBiasAct(const Tensor& x, const Tensor& bias, FusedAct act);
 Tensor AddBiasActBackward(const Tensor& g, const Tensor& x,
                           const Tensor& bias, FusedAct act);
 
-// a [B, T, C] (-) b [B, 1, C]: the instance-norm shift/unshift, row-wise
-// instead of through the generic odometer broadcast path.
+// a [B, T, C] (-) b [B, 1, C]: the instance-norm shift/unshift. The same
+// row loop as Sub/Add (raw::BroadcastMidRows), traced as kBroadcastMid.
 Tensor SubBroadcastMid(const Tensor& a, const Tensor& b);
 Tensor AddBroadcastMid(const Tensor& a, const Tensor& b);
 

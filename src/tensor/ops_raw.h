@@ -43,19 +43,19 @@ enum class Un : int32_t {
 
 // tanh-approximation GELU forward. Deliberately a single out-of-line
 // definition (ops.cc, noinline): the standalone Gelu kernel, the fused
-// AddBiasAct epilogue, the GEMM epilogue and the fused elementwise chain
-// all call the one compiled copy, so no caller can be contracted (FMA)
-// differently from another — gelu outputs stay bitwise identical across
-// fused and unfused paths by construction.
+// AddBiasAct epilogue and the GEMM epilogue all call the one compiled
+// copy, so no caller can be contracted (FMA) differently from another —
+// gelu outputs stay bitwise identical across fused and unfused paths by
+// construction.
 float GeluFwd(float x);
 
 // The single source of scalar semantics for Bin/Un: every elementwise
-// kernel — the dispatch tables below, the GEMM epilogue and the fused
-// chain interpreter — computes each element through these, so fused and
-// unfused paths share one definition per operation. Each case is either a
-// single IEEE operation or an opaque call (libm / GeluFwd), which leaves
-// the compiler nothing to contract across; inlining with a compile-time
-// `op` folds to the bare operation.
+// kernel — the dispatch tables in ops.cc and the GEMM epilogue — computes
+// each element through these, so fused and unfused paths share one
+// definition per operation. Each case is either a single IEEE operation
+// or an opaque call (libm / GeluFwd), which leaves the compiler nothing
+// to contract across; inlining with a compile-time `op` folds to the bare
+// operation.
 inline float ApplyBin(Bin op, float x, float y) {
   switch (op) {
     case Bin::kAdd:
@@ -99,9 +99,22 @@ inline float ApplyUn(Un op, float s, float x) {
 void BinarySame(Bin op, const float* a, const float* b, float* out,
                 int64_t n);
 
-// Broadcast elementwise binary over the odometer walk: `oshape` is the
-// output shape, `sa`/`sb` the broadcast strides of a/b relative to it
-// (all length nd), numel the output element count.
+// Rank bound of the strided kernels below (BinaryBcast, PermuteCopy).
+// Both walk their output by rows with one odometer, seeded per chunk in
+// stack arrays of this size, so neither allocates per call. Both check
+// nd against it.
+inline constexpr int64_t kMaxStridedRank = 16;
+
+// Broadcast elementwise binary: `oshape` is the output shape, `sa`/`sb`
+// the broadcast strides of a/b relative to it (all length nd <=
+// kMaxStridedRank), numel the output element count. Walks by rows: it
+// drops size-1 output dims, merges the trailing dims along which each
+// operand is contiguous (stride 1) or constant (stride 0) into one row of
+// w elements, and advances an outer odometer once per row. Each row is
+// one tight loop per operand pattern (dense/dense, dense/scalar,
+// scalar/dense). Strides that fit no pattern walk rows of one element.
+// Every output element is one ApplyBin on a[dot(idx, sa)] and
+// b[dot(idx, sb)], whatever the row split or chunking.
 void BinaryBcast(Bin op, const float* a, const float* b, float* out,
                  const int64_t* oshape, const int64_t* sa, const int64_t* sb,
                  int64_t nd, int64_t numel);
@@ -110,7 +123,9 @@ void BinaryBcast(Bin op, const float* a, const float* b, float* out,
 // PowScalar read `s`; the rest ignore it).
 void Unary(Un op, float s, const float* a, float* out, int64_t n);
 
-// Permute gather: out[i] = in[dot(multi_index(i, oshape), gather)].
+// Strided gather (permutes, and BroadcastTo's zero strides):
+// out[i] = in[dot(multi_index(i, oshape), gather)], nd <= kMaxStridedRank.
+// Rows are the innermost output dim, each one strided copy loop.
 void PermuteCopy(const float* in, float* out, const int64_t* oshape,
                  const int64_t* gather, int64_t nd, int64_t numel);
 
@@ -247,7 +262,8 @@ void AddBiasActRows(const float* x, const float* bias, float* out,
                     int64_t rows, int64_t c, FusedAct act);
 
 // a [rows, c] (-|+) b broadcast over groups of t rows (the [B, T, C] vs
-// [B, 1, C] instance-norm shift): b row index is r / t.
+// [B, 1, C] instance-norm shift): b row index is r / t. BinaryBcast over
+// the shape [rows / t, t, c].
 void BroadcastMidRows(bool sub_op, const float* a, const float* b,
                       float* out, int64_t rows, int64_t t, int64_t c);
 
@@ -264,33 +280,6 @@ void GemmEpilogueRegion(float* c, int64_t ldc, int64_t r0, int64_t nrows,
                         int64_t j0, int64_t ncols, const float* bias,
                         int32_t act, const float* residual, int32_t res_op,
                         bool res_is_lhs);
-
-// One step of a fused elementwise chain (kFusedChain plan ops). The chain
-// kernel decomposes the output into rows x w elements and streams a value
-// v through the step list per element: unary steps apply ApplyUn, binary
-// steps combine v with `other[row_base[r] + j * inner_step]` via ApplyBin
-// (v is the left operand when prev_is_a). The per-row base table is
-// precomputed and numerically verified by the plan compiler
-// (serve/plan.cc), which is what lets one table-driven loop reproduce
-// same-shape, broadcast-mid and strided-broadcast operands alike.
-struct ChainStep {
-  bool is_binary = false;
-  bool prev_is_a = true;
-  int32_t sub = 0;   // Bin when binary, Un otherwise
-  float scalar = 0.0f;
-  const float* other = nullptr;
-  const int64_t* row_base = nullptr;
-  int64_t inner_step = 0;
-};
-
-// out[r * w + j] = chain(in[r * w + j]); one read-modify-write sweep over
-// the whole run of fused ops. Each element's value passes through the
-// identical scalar operations the unfused kernels apply (ApplyBin /
-// ApplyUn / GeluFwd), and the runtime step dispatch is an optimization
-// barrier between steps, so results are bitwise identical to running the
-// ops separately.
-void FusedChainRows(const float* in, float* out, int64_t rows, int64_t w,
-                    const ChainStep* steps, int64_t nsteps);
 
 }  // namespace raw
 }  // namespace lipformer

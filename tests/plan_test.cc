@@ -27,6 +27,7 @@ namespace lipformer {
 namespace {
 
 using testing::RandomTensor;
+using testing::ThreadCountGuard;
 
 std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
@@ -105,17 +106,6 @@ void ExpectServingContracts(const std::string& bundle,
     }
   }
 }
-
-// Restores the tensor thread count on scope exit.
-class ThreadCountGuard {
- public:
-  ThreadCountGuard() : saved_(GetNumThreads()) {}
-  ~ThreadCountGuard() { SetNumThreads(saved_); }
-  int saved() const { return saved_; }
-
- private:
-  int saved_;
-};
 
 // The thread-count leg of the mode matrix: for b in {1, 3, 16}, the
 // session's answers at one and at four tensor threads are bitwise equal
@@ -565,25 +555,18 @@ TEST_F(PlanTest, ProfilingReportsPerOpTimings) {
 }
 
 // The fusion pass must actually fire on the default LiPFormer config:
-// every Linear is bias+GEMM (epilogue fusion) and the de/normalization
-// around the model is an elementwise run (chain fusion). If these drop
-// to zero the pass has silently stopped matching and every fusion
-// benchmark measures nothing.
+// every Linear is bias+GEMM (epilogue fusion). If this drops to zero the
+// pass has silently stopped matching and the fused GEMM kernels measure
+// nothing.
 TEST_F(PlanTest, FusionFiresOnDefaultConfig) {
   auto opened = serve::InferenceSession::Open(path_);
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
   const serve::PlanStats& stats = opened.value()->PlanForBatch(1)->stats();
   EXPECT_GE(stats.fused_epilogues, 1);
-  EXPECT_GE(stats.fused_chains, 1);
-  // A chain absorbs at least two elementwise ops by construction.
-  EXPECT_GE(stats.fused_chain_ops, 2 * stats.fused_chains);
-  // Each absorbed epilogue op and each chained op beyond the first
-  // removes one whole read-modify-write pass. (>= because one GEMM can
-  // absorb both a bias and a residual and count once.)
-  EXPECT_GE(stats.passes_eliminated,
-            stats.fused_epilogues +
-                (stats.fused_chain_ops - stats.fused_chains));
-  EXPECT_GE(stats.arena_saved_bytes, 0);
+  // Each absorbed epilogue op removes one whole read-modify-write pass.
+  // (>= because one GEMM can absorb both a bias and a residual and count
+  // once.)
+  EXPECT_GE(stats.passes_eliminated, stats.fused_epilogues);
 }
 
 // ---------------------------------------------------------------------

@@ -1,4 +1,10 @@
+#include <fcntl.h>
+#include <pthread.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -6,7 +12,9 @@
 #include <cstring>
 #include <fstream>
 #include <future>
+#include <iterator>
 #include <limits>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -552,6 +560,97 @@ TEST_F(SessionTest, QuantizedBatchRowsBitwiseMatchSingles) {
                              sizeof(float) * 6 * 2))
         << "quantized row " << i << " diverged from its solo forward";
   }
+}
+
+// ---- A bundle is read once ----
+// A hot reload opens the bundle right after a rename; a loader that read
+// the path twice could take its config from one published file and its
+// weights from the next. These tests publish through a FIFO that serves
+// the bundle's bytes to one reader only.
+
+std::string FileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+// Runs load(fifo) against a FIFO that serves `bytes` to its first reader
+// and then closes. A loader that opens the path again blocks in open();
+// after 10 s the test fails and releases it: a non-blocking writer open
+// and close hands the second open EOF.
+template <typename Load>
+auto LoadThroughOneShotFifo(const std::string& fifo, const std::string& bytes,
+                            Load load) -> decltype(load(fifo)) {
+  std::remove(fifo.c_str());
+  EXPECT_EQ(mkfifo(fifo.c_str(), 0600), 0) << std::strerror(errno);
+  std::thread writer([&] {
+    // A reader that quits early must cost this write an EPIPE, not the
+    // process a SIGPIPE.
+    sigset_t pipe_signal;
+    sigemptyset(&pipe_signal);
+    sigaddset(&pipe_signal, SIGPIPE);
+    pthread_sigmask(SIG_BLOCK, &pipe_signal, nullptr);
+    // Wait, bounded, for the loader's open; ENXIO means no reader yet.
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    int fd = -1;
+    while ((fd = open(fifo.c_str(), O_WRONLY | O_NONBLOCK)) < 0 &&
+           errno == ENXIO && std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    if (fd < 0) return;
+    fcntl(fd, F_SETFL, 0);  // blocking writes from here on
+    for (size_t done = 0; done < bytes.size();) {
+      const ssize_t n = write(fd, bytes.data() + done, bytes.size() - done);
+      if (n <= 0) break;
+      done += static_cast<size_t>(n);
+    }
+    close(fd);
+  });
+  auto loading = std::async(std::launch::async, [&] { return load(fifo); });
+  if (loading.wait_for(std::chrono::seconds(10)) !=
+      std::future_status::ready) {
+    ADD_FAILURE() << "the loader opened " << fifo << " a second time";
+    const int fd = open(fifo.c_str(), O_WRONLY | O_NONBLOCK);
+    if (fd >= 0) close(fd);
+  }
+  auto result = loading.get();
+  writer.join();
+  std::remove(fifo.c_str());
+  return result;
+}
+
+TEST_F(SessionTest, LoadBundleModelReadsTheBundleOnce) {
+  Result<serve::BundleModel> piped = LoadThroughOneShotFifo(
+      TempPath("bundle_once.fifo"), FileBytes(path_),
+      [](const std::string& p) { return serve::LoadBundleModel(p); });
+  ASSERT_TRUE(piped.ok()) << piped.status().ToString();
+  Result<serve::BundleModel> file = serve::LoadBundleModel(path_);
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
+  const Tensor histories = RandomTensor({3, 24, 2}, 801);
+  EXPECT_TRUE(BitwiseEqual(piped.value().Forward(histories),
+                           file.value().Forward(histories)));
+}
+
+TEST_F(SessionTest, QuantizeBundleFileReadsTheBundleOnce) {
+  const std::string fp32 = QuantizableBundlePath();
+  const std::string from_fifo = FreshTempPath("quant_once_fifo.ckpt");
+  const Status piped = LoadThroughOneShotFifo(
+      TempPath("quant_once.fifo"), FileBytes(fp32),
+      [&](const std::string& p) {
+        return serve::QuantizeBundleFile(p, from_fifo, /*force=*/false);
+      });
+  ASSERT_TRUE(piped.ok()) << piped.ToString();
+  const std::string from_file = FreshTempPath("quant_once_file.ckpt");
+  ASSERT_TRUE(
+      serve::QuantizeBundleFile(fp32, from_file, /*force=*/false).ok());
+  Result<serve::BundleModel> a = serve::LoadBundleModel(from_fifo);
+  Result<serve::BundleModel> b = serve::LoadBundleModel(from_file);
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  ASSERT_TRUE(b.ok()) << b.status().ToString();
+  ASSERT_TRUE(a.value().quantized);
+  const Tensor histories = RandomTensor({3, 24, 2}, 802);
+  EXPECT_TRUE(BitwiseEqual(a.value().Forward(histories),
+                           b.value().Forward(histories)));
 }
 
 TEST(QuantizedMseTest, TrainedModelStaysWithinTwoPercentOfFp32) {

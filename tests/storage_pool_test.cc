@@ -9,6 +9,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -18,6 +19,7 @@
 #include "data/scaler.h"
 #include "data/synthetic.h"
 #include "models/factory.h"
+#include "serve/quantize.h"
 #include "serve/session.h"
 #include "tensor/storage_pool.h"
 #include "tests/test_util.h"
@@ -317,6 +319,7 @@ TEST_F(AllocationContractTest, InferenceStepNeverReachesTheHeap) {
   EXPECT_EQ(traffic.heap_allocs_per_step, 0);
 }
 
+// Every benchmark/ tenant: fp32 LiPFormer, int8 LiPFormer and DLinear.
 TEST_F(AllocationContractTest, PlanServingNeverReachesTheHeap) {
   ForecasterDims dims;
   dims.input_len = config_.input_len;
@@ -325,35 +328,53 @@ TEST_F(AllocationContractTest, PlanServingNeverReachesTheHeap) {
   ModelOptions options;
   options.patch_len = config_.patch_len;
   options.hidden_dim = config_.hidden_dim;
-  std::unique_ptr<Forecaster> model = CreateModel("lipformer", dims, options);
   StandardScaler scaler;
   scaler.Fit(RandomTensor({64, dims.channels}, 3));
-  const std::string path = ::testing::TempDir() + "/alloc_contract.ckpt";
-  ASSERT_TRUE(
-      serve::SaveModelBundle(path, "lipformer", options, *model, scaler).ok());
-  auto opened = serve::InferenceSession::Open(path);
-  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-  serve::InferenceSession* session = opened.value().get();
-
   const Tensor window = RandomTensor({dims.input_len, dims.channels}, 4);
   const Tensor batch =
       RandomTensor({16, dims.input_len, dims.channels}, 5);
-  // At 4 threads up to 4 rows (or a lone row's GEMM chunks) run at once,
-  // each leasing its own slab and scratch. The pool parks as many blocks
-  // as the busiest call held, so warm up over enough calls to see that
-  // peak whatever the scheduling.
-  for (const int threads : {1, 4}) {
-    SCOPED_TRACE(threads);
-    SetNumThreads(threads);
-    const int warmup = threads == 1 ? 1 : 20;
-    bool ok = true;
-    const PoolTraffic single = MeasurePoolTraffic(
-        [&] { ok = session->Predict(window).ok() && ok; }, warmup);
-    const PoolTraffic batched = MeasurePoolTraffic(
-        [&] { ok = session->PredictBatch(batch).ok() && ok; }, warmup);
-    EXPECT_TRUE(ok);
-    EXPECT_EQ(single.heap_allocs_per_step, 0);
-    EXPECT_EQ(batched.heap_allocs_per_step, 0);
+
+  for (const auto& [model_name, int8] :
+       {std::pair<std::string, bool>{"lipformer", false},
+        {"lipformer", true},
+        {"dlinear", false}}) {
+    SCOPED_TRACE(model_name + (int8 ? " int8" : " fp32"));
+    std::unique_ptr<Forecaster> model =
+        CreateModel(model_name, dims, options);
+    std::string path = ::testing::TempDir() + "/alloc_contract.ckpt";
+    ASSERT_TRUE(serve::SaveModelBundle(path, model_name, options, *model,
+                                       scaler)
+                    .ok());
+    if (int8) {
+      const std::string int8_path =
+          ::testing::TempDir() + "/alloc_contract_int8.ckpt";
+      ASSERT_TRUE(
+          serve::QuantizeBundleFile(path, int8_path, /*force=*/true).ok());
+      path = int8_path;
+    }
+    auto opened = serve::InferenceSession::Open(path);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    serve::InferenceSession* session = opened.value().get();
+    ASSERT_EQ(session->quantized(), int8);
+
+    // At 4 threads up to 4 rows (or a lone row's GEMM chunks) run at
+    // once, each leasing its own slab and scratch. The pool parks as many
+    // blocks as the busiest call held, so warm up over enough calls to
+    // see that peak whatever the scheduling.
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE(threads);
+      SetNumThreads(threads);
+      const int warmup = threads == 1 ? 1 : 20;
+      bool ok = true;
+      const PoolTraffic single = MeasurePoolTraffic(
+          [&] { ok = session->Predict(window).ok() && ok; }, warmup);
+      const PoolTraffic batched = MeasurePoolTraffic(
+          [&] { ok = session->PredictBatch(batch).ok() && ok; }, warmup);
+      EXPECT_TRUE(ok);
+      EXPECT_EQ(single.heap_allocs_per_step, 0);
+      EXPECT_EQ(batched.heap_allocs_per_step, 0);
+    }
+    SetNumThreads(1);
   }
 }
 

@@ -9,6 +9,7 @@
 #include "autograd/ops.h"
 #include "autograd/variable.h"
 #include "common/random.h"
+#include "common/thread_pool.h"
 #include "tensor/ops.h"
 
 namespace lipformer {
@@ -43,6 +44,19 @@ inline void CheckGradient(
         << "coordinate " << i << " of " << probe.numel();
   }
 }
+
+// Restores the tensor thread count on scope exit.
+class ThreadCountGuard {
+ public:
+  ThreadCountGuard() : saved_(GetNumThreads()) {}
+  ~ThreadCountGuard() { SetNumThreads(saved_); }
+  ThreadCountGuard(const ThreadCountGuard&) = delete;
+  ThreadCountGuard& operator=(const ThreadCountGuard&) = delete;
+  int saved() const { return saved_; }
+
+ private:
+  int saved_;
+};
 
 inline Tensor RandomTensor(Shape shape, uint64_t seed, float scale = 1.0f) {
   Rng rng(seed);
