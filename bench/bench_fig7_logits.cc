@@ -8,6 +8,7 @@
 
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util/experiment.h"
@@ -40,7 +41,9 @@ Status DumpCsv(const Tensor& logits, const std::string& path) {
   TablePrinter printer([&] {
     std::vector<std::string> headers;
     for (int64_t j = 0; j < logits.size(1); ++j) {
-      headers.push_back("c" + std::to_string(j));
+      std::string name = "c";
+      name += std::to_string(j);
+      headers.push_back(std::move(name));
     }
     return headers;
   }());

@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
 
   TablePrinter table({"Dataset", "Model", "MSE", "MAE", "Params",
                       "ScaleWeights"});
-  for (const std::string& dataset : {"etth1", "ettm1", "weather"}) {
+  for (const std::string dataset : {"etth1", "ettm1", "weather"}) {
     DatasetSpec spec = MakeDataset(dataset, env.data_scale);
 
     RunResult fixed = RunLiPFormer(spec, env, horizon,

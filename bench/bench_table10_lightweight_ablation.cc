@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
 
   TablePrinter table({"Variant", "Dataset", "L", "MSE", "MAE", "Params"});
   for (const VariantSpec& variant : variants) {
-    for (const std::string& dataset : {"etth1", "ettm2"}) {
+    for (const std::string dataset : {"etth1", "ettm2"}) {
       DatasetSpec spec = MakeDataset(dataset, env.data_scale);
       for (int64_t horizon : env.horizons) {
         LiPFormerConfig config;

@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
 
   TablePrinter table({"Model", "L", "MSE(+enc)", "MAE(+enc)", "MSE(base)",
                       "MAE(base)"});
-  for (const std::string& base_name :
+  for (const std::string base_name :
        {"informer", "transformer", "autoformer"}) {
     for (int64_t horizon : horizons) {
       WindowDataset data = MakeWindows(spec, env, horizon);

@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
   (void)stats.WriteCsv(ResultsPath(env, "table2_datasets"));
 
   TablePrinter schema({"Dataset", "Covariate", "Type", "Cardinality"});
-  for (const std::string& name : {"electri_price", "cycle"}) {
+  for (const std::string name : {"electri_price", "cycle"}) {
     DatasetSpec spec = MakeDataset(name, 0.05);
     const CovariateSchema& cs = spec.series.covariate_schema;
     for (const std::string& field : cs.numeric_names) {

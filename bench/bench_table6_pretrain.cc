@@ -16,7 +16,7 @@ int main(int argc, char** argv) {
 
   TablePrinter table({"Dataset", "MSE(no pretrain)", "MAE(no pretrain)",
                       "MSE(pretrain)", "MAE(pretrain)", "dMSE%"});
-  for (const std::string& dataset : {"etth1", "etth2", "ettm1", "ettm2"}) {
+  for (const std::string dataset : {"etth1", "etth2", "ettm1", "ettm2"}) {
     DatasetSpec spec = MakeDataset(dataset, env.data_scale);
     RunResult without =
         RunLiPFormer(spec, env, horizon, /*use_covariates=*/false);

@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
 
   TablePrinter table({"Dataset", "InputLen", "Threads", "Transformer(s)",
                       "LiPFormer(s)", "Speedup"});
-  for (const std::string& dataset : {"etth1", "weather"}) {
+  for (const std::string dataset : {"etth1", "weather"}) {
     DatasetSpec spec = MakeDataset(dataset, env.data_scale);
     for (int64_t input_len : input_lens) {
       WindowDataset::Options options;

@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
   const int64_t horizon = env.full ? 96 : 48;
 
   TablePrinter table({"Dataset", "pl", "MSE", "MAE"});
-  for (const std::string& dataset : {"etth1", "etth2", "ettm1", "ettm2"}) {
+  for (const std::string dataset : {"etth1", "etth2", "ettm1", "ettm2"}) {
     DatasetSpec spec = MakeDataset(dataset, env.data_scale);
     for (int64_t pl : patch_lens) {
       if (env.input_len % pl != 0) continue;

@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
                                            "timemixer"};
 
   TablePrinter table({"Dataset", "InputLen", "Model", "MSE"});
-  for (const std::string& dataset :
+  for (const std::string dataset :
        {"etth1", "etth2", "ettm1", "ettm2", "weather"}) {
     DatasetSpec spec = MakeDataset(dataset, env.data_scale);
     for (int64_t input_len : input_lens) {

@@ -29,7 +29,7 @@
 # std::vector buffers over the registry's attention shapes, so ASan sees
 # any read past a row or a query-block tail, and BroadcastKernelTest.*
 # (RowKernelMatchesReferenceLoopOnExactBuffers,
-# UnpatternedStridesWalkOneElementRows, BroadcastMidRowsMatchesReference,
+# UnpatternedStridesWalkOneElementRows, InstanceNormShiftsMatchReference,
 # PermuteCopyMatchesReference) does the same for the broadcast row
 # kernel and the odometer it shares with PermuteCopy, at 1 and 4 threads,
 # so TSan sees chunks that start and end mid-row. The bundle loaders'
@@ -57,7 +57,13 @@
 # CliMainTest.{Deadline,MaxQueueDelay,BreakerCooldown,ReloadPoll}
 # AboveOneDayReturnsUsageCode and MaxBatchAbove4096ReturnsUsageCode push
 # serve's numeric flags past their bounds, where the millisecond
-# conversions and the deadline arithmetic used to overflow. The `chaos`
+# conversions and the deadline arithmetic used to overflow. Under
+# `address` and `undefined`, RobustnessTest.
+# CraftedTensorHeadersReturnInvalidArgument hands ReadCheckpoint three
+# 45-byte tensor headers whose byte size wraps in 64 bits or exceeds the
+# file, which must be rejected before anything is allocated, and
+# StoragePoolTest.SizeClassRounding asks the storage pool for more than
+# its largest size class. The `chaos`
 # ctest (scripts/check_chaos.sh) also runs here, driving bench_loadgen's
 # overload + fault-injection phases under the sanitizer; its goodput
 # floor is relaxed below (sanitizer builds gate the correctness

@@ -472,18 +472,6 @@ Variable AddConst(const Variable& a, const Tensor& c) {
   });
 }
 
-Variable ScaledMaskedSoftmax(const Variable& a, float scale,
-                             const Tensor* mask) {
-  Tensor value = ScaledMaskedSoftmax(a.value(), scale, mask);
-  if (!Taped(a)) return Variable(std::move(value));
-  const Tensor out = value;
-  return Variable::MakeNode(
-      std::move(value), {a}, [out, scale](const Tensor& g) {
-        return std::vector<Tensor>{
-            ScaledMaskedSoftmaxBackward(g, out, scale)};
-      });
-}
-
 Variable Attention(const Variable& q, const Variable& k, const Variable& v,
                    int64_t num_heads, float scale, const Tensor* mask) {
   if (!Taped(q, k, v)) {
@@ -549,26 +537,6 @@ Variable AddBiasAct(const Variable& a, const Variable& bias, FusedAct act) {
         Tensor dz = AddBiasActBackward(g, av, bv, act);
         Tensor db = ReduceToShape(dz, bv.shape());
         return std::vector<Tensor>{dz, std::move(db)};
-      });
-}
-
-Variable SubBroadcastMid(const Variable& a, const Variable& b) {
-  Tensor value = SubBroadcastMid(a.value(), b.value());
-  if (!Taped(a, b)) return Variable(std::move(value));
-  const Shape sb = b.shape();
-  return Variable::MakeNode(
-      std::move(value), {a, b}, [sb](const Tensor& g) {
-        return std::vector<Tensor>{g, ReduceToShape(Neg(g), sb)};
-      });
-}
-
-Variable AddBroadcastMid(const Variable& a, const Variable& b) {
-  Tensor value = AddBroadcastMid(a.value(), b.value());
-  if (!Taped(a, b)) return Variable(std::move(value));
-  const Shape sb = b.shape();
-  return Variable::MakeNode(
-      std::move(value), {a, b}, [sb](const Tensor& g) {
-        return std::vector<Tensor>{g, ReduceToShape(g, sb)};
       });
 }
 

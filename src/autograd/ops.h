@@ -84,11 +84,6 @@ Variable MulConst(const Variable& a, const Tensor& c);
 Variable AddConst(const Variable& a, const Tensor& c);
 
 // ---- Fused ops (single-pass kernels from tensor/ops.h) ----
-// softmax(scale * a [+ mask], dim=-1); mask is a constant 2-d additive
-// mask (or null). Value and gradient are bitwise identical to the
-// Softmax(AddConst(MulScalar(a, scale), mask), -1) chain.
-Variable ScaledMaskedSoftmax(const Variable& a, float scale,
-                             const Tensor* mask);
 // Fused multi-head attention (tensor/ops.h Attention): q [B, Sq, H*dk],
 // k [B, Sk, H*dk], v [B, Sk, H*dv] -> [B, Sq, H*dv]; mask is a constant
 // additive [Sq, Sk] matrix (or null). The taped forward runs the same
@@ -100,10 +95,6 @@ Variable Attention(const Variable& q, const Variable& k, const Variable& v,
 // epilogue. The backward recomputes the pre-activation from the saved
 // inputs instead of storing it.
 Variable AddBiasAct(const Variable& a, const Variable& bias, FusedAct act);
-// a [B, T, C] -/+ b [B, 1, C]: instance-norm shift and unshift, traced
-// as their own plan kind (kBroadcastMid).
-Variable SubBroadcastMid(const Variable& a, const Variable& b);
-Variable AddBroadcastMid(const Variable& a, const Variable& b);
 
 // ---- Operator sugar ----
 inline Variable operator+(const Variable& a, const Variable& b) {

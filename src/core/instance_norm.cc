@@ -7,14 +7,14 @@ std::pair<Variable, InstanceNormState> InstanceNormalize(const Variable& x) {
   const int64_t t = x.size(1);
   InstanceNormState state;
   state.last_values = Slice(x, 1, t - 1, t);  // [b, 1, c]
-  Variable normalized = SubBroadcastMid(x, state.last_values);
+  Variable normalized = Sub(x, state.last_values);
   return {normalized, state};
 }
 
 Variable InstanceDenormalize(const Variable& prediction,
                              const InstanceNormState& state) {
   LIPF_CHECK_EQ(prediction.dim(), 3);
-  return AddBroadcastMid(prediction, state.last_values);
+  return Add(prediction, state.last_values);
 }
 
 }  // namespace lipformer

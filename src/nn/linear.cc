@@ -38,10 +38,8 @@ void DequantRowsEpilogue(const int32_t* c32, const float* row_scale,
         yrow[j] = static_cast<float>(crow[j]) * (sr * col_scale[j]);
       }
       if (fused) {
-        raw::GemmEpilogueRegion(
-            yrow, out, 0, 1, 0, out, epi->bias, epi->act,
-            epi->residual != nullptr ? epi->residual + r * out : nullptr,
-            epi->res_op, epi->res_is_lhs);
+        raw::GemmEpilogueRows(y, out, r, 1, epi->bias, epi->act,
+                              epi->residual, epi->res_op, epi->res_is_lhs);
       }
     }
   });

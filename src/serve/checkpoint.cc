@@ -25,10 +25,15 @@ constexpr uint32_t kMaxEntries = 1 << 24;
 
 // Bounded reader over the checkpoint stream: every primitive read reports
 // truncation as a Status instead of leaving the stream in a failed state
-// the caller forgets to test.
+// the caller forgets to test. `left` is the byte count between the read
+// position and the end of the file, or -1 when the stream cannot seek (a
+// pipe) and the reads alone find a truncation.
 class Reader {
  public:
-  Reader(std::ifstream* in, const std::string& path) : in_(in), path_(path) {}
+  Reader(std::ifstream* in, const std::string& path, int64_t left)
+      : in_(in), path_(path), left_(left) {}
+
+  int64_t left() const { return left_; }
 
   Status ReadBytes(void* dst, size_t n, const char* what) {
     in_->read(static_cast<char*>(dst), static_cast<std::streamsize>(n));
@@ -36,6 +41,7 @@ class Reader {
       return Status::InvalidArgument("truncated checkpoint " + path_ +
                                      ": unexpected EOF in " + what);
     }
+    if (left_ >= 0) left_ -= static_cast<int64_t>(n);
     return Status::OK();
   }
 
@@ -60,7 +66,17 @@ class Reader {
  private:
   std::ifstream* in_;
   const std::string& path_;
+  int64_t left_;
 };
+
+// The file's size in bytes, leaving the read position at its start; -1
+// when the stream cannot seek.
+int64_t StreamSize(std::ifstream& in) {
+  std::streambuf* buf = in.rdbuf();
+  const std::streamoff end = buf->pubseekoff(0, std::ios::end, std::ios::in);
+  if (end < 0 || buf->pubseekpos(0, std::ios::in) != 0) return -1;
+  return static_cast<int64_t>(end);
+}
 
 template <typename T>
 Status AppendScalar(AtomicFile& out, T value) {
@@ -124,6 +140,7 @@ Status WriteCheckpoint(const std::string& path, const Checkpoint& ckpt) {
 Result<Checkpoint> ReadCheckpoint(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::IOError("cannot open for read: " + path);
+  const int64_t file_bytes = StreamSize(in);
 
   char magic[sizeof(kMagic)] = {};
   in.read(magic, sizeof(magic));
@@ -140,7 +157,10 @@ Result<Checkpoint> ReadCheckpoint(const std::string& path) {
         " --out=... --model=... <architecture flags>`.");
   }
 
-  Reader reader(&in, path);
+  Reader reader(&in, path,
+                file_bytes < 0 ? -1
+                               : file_bytes -
+                                     static_cast<int64_t>(header_bytes));
   uint32_t version = 0;
   LIPF_RETURN_IF_ERROR(reader.ReadScalar(&version, "version"));
   if (version != kVersion) {
@@ -199,11 +219,22 @@ Result<Checkpoint> ReadCheckpoint(const std::string& path) {
     }
     uint64_t byte_len = 0;
     LIPF_RETURN_IF_ERROR(reader.ReadScalar(&byte_len, "tensor byte length"));
-    if (byte_len != static_cast<uint64_t>(numel) * sizeof(float)) {
+    // Both checks come before the allocation: a shape whose byte size
+    // overflows, or data the file does not hold, must not reach it.
+    if (static_cast<uint64_t>(numel) >
+            std::numeric_limits<uint64_t>::max() / sizeof(float) ||
+        byte_len != static_cast<uint64_t>(numel) * sizeof(float)) {
       return Status::InvalidArgument(
           "corrupt checkpoint " + path + ": tensor '" + entry.name +
           "' byte length " + std::to_string(byte_len) +
           " does not match shape " + ShapeToString(shape));
+    }
+    if (reader.left() >= 0 &&
+        byte_len > static_cast<uint64_t>(reader.left())) {
+      return Status::InvalidArgument(
+          "truncated checkpoint " + path + ": tensor '" + entry.name +
+          "' needs " + std::to_string(byte_len) + " bytes, the file has " +
+          std::to_string(reader.left()) + " left");
     }
     entry.data = Tensor::Empty(std::move(shape));
     LIPF_RETURN_IF_ERROR(

@@ -256,7 +256,6 @@ Result<std::shared_ptr<const InferencePlan>> InferencePlan::Compile(
     }
     plan->constants_.push_back(kept);
     plan->stats_.num_constants += 1;
-    plan->stats_.constant_bytes += kept.numel() * sizeof(float);
     Loc loc;
     loc.is_const = true;
     loc.cptr = p;
@@ -394,7 +393,7 @@ Result<std::shared_ptr<const InferencePlan>> InferencePlan::Compile(
     // the bias+activation pass the module forward runs right after it
     // (kAddBiasAct over the same rows/cols), and then — or instead — a
     // same-shape residual kBinary. The epilogue runs per cache-hot C
-    // region inside the GEMM (raw::GemmEpilogueRegion), so the separate
+    // region inside the GEMM (raw::GemmEpilogueRows), so the separate
     // full-tensor passes disappear. The fused op takes the absorbed
     // consumer's position: every epilogue operand was already defined
     // there, and nothing else read the absorbed output (uses == 1), so
@@ -530,7 +529,6 @@ Result<std::shared_ptr<const InferencePlan>> InferencePlan::Compile(
     }
     plan->arena_floats_ = std::max<int64_t>(1, layout.end());
   }
-  plan->stats_.arena_floats = plan->arena_floats_;
   plan->stats_.arena_bytes = plan->arena_floats_ * sizeof(float);
   plan->stats_.num_ops = num_ops;
   // Every absorbed op was one full read(+read)+write sweep over the
@@ -583,8 +581,6 @@ Result<std::shared_ptr<const InferencePlan>> InferencePlan::Compile(
     }
     op.prepacked_b = buf.data();
     plan->stats_.prepacked_gemms += 1;
-    plan->stats_.prepacked_bytes +=
-        static_cast<int64_t>(buf.size() * sizeof(float));
   }
 
   // ---- Validate: bitwise equality on the trace input, on a second,

@@ -70,12 +70,9 @@ struct PlanStats {
   int64_t num_traced = 0;       // records captured by the trace
   int64_t num_elided = 0;       // identity copies removed
   int64_t fused_gemm_operands = 0;  // permutes folded into GEMM packing
-  int64_t arena_floats = 0;     // per-row slab size
-  int64_t arena_bytes = 0;
+  int64_t arena_bytes = 0;      // per-row slab size
   int64_t num_constants = 0;    // captured constant tensors
-  int64_t constant_bytes = 0;   // bytes the plan keeps alive (excl. weights)
   int64_t prepacked_gemms = 0;  // fp32 GEMMs with compile-time packed B
-  int64_t prepacked_bytes = 0;
   // Fusion pass (DESIGN.md §11 "Fusion pass"):
   int64_t fused_epilogues = 0;   // GEMMs that absorbed bias/act/residual
   int64_t passes_eliminated = 0; // bias/act and residual ops absorbed

@@ -109,20 +109,9 @@ inline void RunOp(const PlanOp& op, float* base) {
     case trace::OpKind::kSoftmax:
       raw::SoftmaxDim(in(0), out, op.d[0], op.d[1], op.d[2]);
       return;
-    case trace::OpKind::kLogSoftmax:
-      raw::LogSoftmaxDim(in(0), out, op.d[0], op.d[1], op.d[2]);
-      return;
-    case trace::OpKind::kScaledMaskedSoftmax:
-      raw::ScaledMaskedSoftmaxRows(in(0), out, op.d[0], op.d[1], op.scalar,
-                                   op.d[3] != 0 ? in(1) : nullptr, op.d[2]);
-      return;
     case trace::OpKind::kAddBiasAct:
       raw::AddBiasActRows(in(0), in(1), out, op.d[0], op.d[1],
                           static_cast<FusedAct>(op.sub));
-      return;
-    case trace::OpKind::kBroadcastMid:
-      raw::BroadcastMidRows(op.sub != 0, in(0), in(1), out, op.d[0],
-                            op.d[1], op.d[2]);
       return;
     case trace::OpKind::kIndexSelect:
       raw::IndexSelectCopy(in(0), out, op.d[0], op.d[1], op.d[2],
@@ -141,7 +130,9 @@ inline void RunOp(const PlanOp& op, float* base) {
                          op.scalar, op.sub != 0 ? in(3) : nullptr);
       AddMacCount(op.macs);
       return;
-    case trace::OpKind::kFusedChain:  // never emitted
+    case trace::OpKind::kScaledMaskedSoftmax:  // never emitted
+    case trace::OpKind::kBroadcastMid:         // never emitted
+    case trace::OpKind::kFusedChain:           // never emitted
     case trace::OpKind::kNumKinds:
       break;
   }

@@ -275,9 +275,9 @@ void ComputePackedGemm(const float* a, bool trans_a,
           // still warm. Keeping the sweep out of the blocked loops means
           // it never competes with the packed A/B working set mid-GEMM.
           if (epi != nullptr && epi->enabled()) {
-            raw::GemmEpilogueRegion(c_base, n, row0, row1 - row0, 0, n,
-                                    epi->bias, epi->act, res_base,
-                                    epi->res_op, epi->res_is_lhs);
+            raw::GemmEpilogueRows(c_base, n, row0, row1 - row0, epi->bias,
+                                  epi->act, res_base, epi->res_op,
+                                  epi->res_is_lhs);
           }
           blk += rb1 - rb0;
         }
@@ -290,12 +290,8 @@ void ZeroGemmOutput(float* c, int64_t m, int64_t n, int64_t nbatch,
                     const GemmEpilogue* epi) {
   std::memset(c, 0, sizeof(float) * static_cast<size_t>(nbatch * m * n));
   if (epi == nullptr || !epi->enabled()) return;
-  for (int64_t bi = 0; bi < nbatch; ++bi) {
-    raw::GemmEpilogueRegion(
-        c + bi * m * n, n, 0, m, 0, n, epi->bias, epi->act,
-        epi->residual != nullptr ? epi->residual + bi * m * n : nullptr,
-        epi->res_op, epi->res_is_lhs);
-  }
+  raw::GemmEpilogueRows(c, n, 0, nbatch * m, epi->bias, epi->act,
+                        epi->residual, epi->res_op, epi->res_is_lhs);
 }
 
 }  // namespace

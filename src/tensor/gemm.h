@@ -64,7 +64,7 @@ struct GemmBatch {
 // ([nbatch, m, n]). The AOT plan compiler (serve/plan.cc) uses this to
 // collapse GEMM + AddBiasAct (+ residual Binary) into one op with zero
 // extra passes over C; element semantics are shared with the unfused
-// kernels (raw::GemmEpilogueRegion), so results stay bitwise identical.
+// kernels (raw::GemmEpilogueRows), so results stay bitwise identical.
 // `act` is a FusedAct (tensor/ops.h), `res_op` a raw::Bin (ops_raw.h) —
 // int32 here to keep this header dependency-free.
 struct GemmEpilogue {

@@ -28,14 +28,13 @@ const char* OpKindName(OpKind kind) {
     case OpKind::kConcat: return "concat";
     case OpKind::kSum: return "sum";
     case OpKind::kSoftmax: return "softmax";
-    case OpKind::kLogSoftmax: return "log_softmax";
-    case OpKind::kScaledMaskedSoftmax: return "scaled_masked_softmax";
     case OpKind::kAddBiasAct: return "add_bias_act";
-    case OpKind::kBroadcastMid: return "broadcast_mid";
     case OpKind::kIndexSelect: return "index_select";
     case OpKind::kProbSparseMask: return "prob_sparse_mask";
     case OpKind::kTimeDelayAggregate: return "time_delay_aggregate";
     case OpKind::kAttention: return "attention";
+    case OpKind::kScaledMaskedSoftmax: return "scaled_masked_softmax";
+    case OpKind::kBroadcastMid: return "broadcast_mid";
     case OpKind::kFusedChain: return "fused_chain";
     case OpKind::kNumKinds: break;
   }
@@ -200,21 +199,6 @@ void RecordReduction(OpKind kind, const Tensor& in, const Tensor& out,
   g_recorder->Add(std::move(r));
 }
 
-void RecordScaledMaskedSoftmax(const Tensor& in, const Tensor* mask,
-                               const Tensor& out, int64_t rows, int64_t mid,
-                               int64_t sq, float scale) {
-  if (g_recorder == nullptr) return;
-  TraceRecord r = mask != nullptr
-                      ? Base(OpKind::kScaledMaskedSoftmax, {&in, mask}, out)
-                      : Base(OpKind::kScaledMaskedSoftmax, {&in}, out);
-  r.scalar = scale;
-  r.d[0] = rows;
-  r.d[1] = mid;
-  r.d[2] = sq;
-  r.d[3] = mask != nullptr ? 1 : 0;
-  g_recorder->Add(std::move(r));
-}
-
 void RecordAddBiasAct(const Tensor& x, const Tensor& bias, const Tensor& out,
                       int64_t rows, int64_t c, FusedAct act) {
   if (g_recorder == nullptr) return;
@@ -222,18 +206,6 @@ void RecordAddBiasAct(const Tensor& x, const Tensor& bias, const Tensor& out,
   r.sub = static_cast<int32_t>(act);
   r.d[0] = rows;
   r.d[1] = c;
-  g_recorder->Add(std::move(r));
-}
-
-void RecordBroadcastMid(bool sub_op, const Tensor& a, const Tensor& b,
-                        const Tensor& out, int64_t rows, int64_t t,
-                        int64_t c) {
-  if (g_recorder == nullptr) return;
-  TraceRecord r = Base(OpKind::kBroadcastMid, {&a, &b}, out);
-  r.sub = sub_op ? 1 : 0;
-  r.d[0] = rows;
-  r.d[1] = t;
-  r.d[2] = c;
   g_recorder->Add(std::move(r));
 }
 

@@ -47,16 +47,15 @@ enum class OpKind : int32_t {
   kConcat,         // raw::ConcatCopyOne per input
   kSum,            // raw::SumDim
   kSoftmax,        // raw::SoftmaxDim
-  kLogSoftmax,     // raw::LogSoftmaxDim
-  kScaledMaskedSoftmax,  // raw::ScaledMaskedSoftmaxRows
   kAddBiasAct,     // raw::AddBiasActRows; sub = FusedAct
-  kBroadcastMid,   // raw::BroadcastMidRows; sub = 1 for Sub, 0 for Add
   kIndexSelect,    // raw::IndexSelectCopy
   kProbSparseMask,       // raw::ProbSparseMaskRows
   kTimeDelayAggregate,   // raw::TimeDelayAggregateRows
   kAttention,      // raw::AttentionRows
-  // Never emitted. The name stays while BENCHMARK.json lists
-  // plan.op_us.fused_chain.* (benchmark/ zero-fills every kind's metric).
+  // Never emitted. The names stay while BENCHMARK.json lists
+  // plan.op_us.<name>.* (benchmark/ zero-fills every kind's metric).
+  kScaledMaskedSoftmax,
+  kBroadcastMid,
   kFusedChain,
   kNumKinds,
 };
@@ -73,10 +72,8 @@ const char* OpKindName(OpKind kind);
 //   kPermute:      d0=numel d1=nd         aux0=oshape aux1=gather
 //   kSlice:        d0=outer d1=mid d2=inner d3=start d4=len
 //   kConcat:       d0=outer d1=mid_out d2=inner   aux0=per-input mids
-//   kSum/kSoftmax/kLogSoftmax: d0=outer d1=mid d2=inner
-//   kScaledMaskedSoftmax: d0=rows d1=mid d2=sq d3=has_mask
+//   kSum/kSoftmax: d0=outer d1=mid d2=inner
 //   kAddBiasAct:   d0=rows d1=c           in={x, bias}
-//   kBroadcastMid: d0=rows d1=t d2=c
 //   kIndexSelect:  d0=outer d1=mid d2=inner d3=nsel  aux0=indices
 //   kProbSparseMask: d0=b d1=s d2=u
 //   kTimeDelayAggregate: d0=b d1=s d2=d d3=topk   in={q, k, v}
@@ -156,14 +153,8 @@ void RecordConcat(const std::vector<Tensor>& ins, const Tensor& out,
                   const std::vector<int64_t>& mids);
 void RecordReduction(OpKind kind, const Tensor& in, const Tensor& out,
                      int64_t outer, int64_t mid, int64_t inner);
-void RecordScaledMaskedSoftmax(const Tensor& in, const Tensor* mask,
-                               const Tensor& out, int64_t rows, int64_t mid,
-                               int64_t sq, float scale);
 void RecordAddBiasAct(const Tensor& x, const Tensor& bias, const Tensor& out,
                       int64_t rows, int64_t c, FusedAct act);
-void RecordBroadcastMid(bool sub_op, const Tensor& a, const Tensor& b,
-                        const Tensor& out, int64_t rows, int64_t t,
-                        int64_t c);
 void RecordIndexSelect(const Tensor& in, const Tensor& out, int64_t outer,
                        int64_t mid, int64_t inner,
                        const std::vector<int64_t>& indices);

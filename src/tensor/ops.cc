@@ -211,14 +211,32 @@ float ApplyUnSlow(Un op, float s, float x) {
 
 namespace {
 
+// o[i] = f(a[i], b[i]) for i < n, serially: BinarySame runs it per chunk,
+// BinaryBcast per dense row and the GEMM epilogue over its rows.
+template <typename F>
+void BinaryRowT(const float* a, const float* b, float* o, int64_t n, F f) {
+  for (int64_t i = 0; i < n; ++i) o[i] = f(a[i], b[i]);
+}
+
 template <typename F>
 void BinarySameT(const float* pa, const float* pb, float* po, int64_t n,
                  F f) {
   ParallelFor(n, kElementwiseGrain, [&](int64_t begin, int64_t end) {
-    for (int64_t i = begin; i < end; ++i) {
-      po[i] = f(pa[i], pb[i]);
-    }
+    BinaryRowT(pa + begin, pb + begin, po + begin, end - begin, f);
   });
+}
+
+// out = f(x + bias) over rows [r0, r1) of width c: one add, then the
+// activation. AddBiasActRows and the GEMM epilogue (in place) both run
+// it.
+template <typename F>
+void BiasActRowsT(const float* x, const float* bias, float* out, int64_t r0,
+                  int64_t r1, int64_t c, F f) {
+  for (int64_t r = r0; r < r1; ++r) {
+    const float* x_row = x + r * c;
+    float* out_row = out + r * c;
+    for (int64_t j = 0; j < c; ++j) out_row[j] = f(x_row[j] + bias[j]);
+  }
 }
 
 template <typename F>
@@ -254,6 +272,23 @@ void BinaryDispatch(Bin op, F run) {
       run([](float x, float y) { return ApplyBin(Bin::kMin, x, y); });
       return;
   }
+}
+
+// The same for the Linear epilogue's activation: AddBiasActRows and
+// GemmEpilogueRows pass run() the one definition of each FusedAct.
+template <typename F>
+void FusedActDispatch(FusedAct act, F run) {
+  switch (act) {
+    case FusedAct::kRelu:
+      run([](float z) { return z > 0.0f ? z : 0.0f; });
+      return;
+    case FusedAct::kGelu:
+      run([](float z) { return GeluFwd(z); });
+      return;
+    case FusedAct::kNone:
+      break;
+  }
+  run([](float z) { return z; });
 }
 
 template <typename F>
@@ -354,7 +389,7 @@ void BinaryBcast(Bin op, const float* a, const float* b, float* out,
     };
     if (a_dense && b_dense) {
       run([f](const float* x, const float* y, float* o, int64_t len) {
-        for (int64_t j = 0; j < len; ++j) o[j] = f(x[j], y[j]);
+        BinaryRowT(x, y, o, len, f);
       });
     } else if (a_dense) {
       run([f](const float* x, const float* y, float* o, int64_t len) {
@@ -530,123 +565,38 @@ void LogSoftmaxDim(const float* pi, float* po, int64_t outer, int64_t mid,
               });
 }
 
-namespace {
-
-// Row-wise driver for the bias-add epilogue: rows of x's last dim against
-// the 1-d bias, act applied scalar-wise. Keeps the act dispatch outside
-// the inner loop.
-template <typename F>
-void AddBiasEpilogueT(const float* pi, const float* pb, float* po,
-                      int64_t rows, int64_t c, F f) {
-  ParallelFor(rows, GrainFor(kElementwiseGrain, c),
-              [&](int64_t begin, int64_t end) {
-                for (int64_t r = begin; r < end; ++r) {
-                  const float* x_row = pi + r * c;
-                  float* out_row = po + r * c;
-                  for (int64_t j = 0; j < c; ++j) {
-                    out_row[j] = f(x_row[j] + pb[j]);
-                  }
-                }
-              });
-}
-
-}  // namespace
-
 void AddBiasActRows(const float* x, const float* bias, float* out,
                     int64_t rows, int64_t c, FusedAct act) {
-  switch (act) {
-    case FusedAct::kRelu:
-      AddBiasEpilogueT(x, bias, out, rows, c,
-                       [](float z) { return z > 0.0f ? z : 0.0f; });
-      return;
-    case FusedAct::kGelu:
-      AddBiasEpilogueT(x, bias, out, rows, c,
-                       [](float z) { return GeluFwd(z); });
-      return;
-    case FusedAct::kNone:
-      break;
-  }
-  AddBiasEpilogueT(x, bias, out, rows, c, [](float z) { return z; });
+  FusedActDispatch(act, [&](auto f) {
+    ParallelFor(rows, GrainFor(kElementwiseGrain, c),
+                [&](int64_t begin, int64_t end) {
+                  BiasActRowsT(x, bias, out, begin, end, c, f);
+                });
+  });
 }
 
-void BroadcastMidRows(bool sub_op, const float* a, const float* b,
-                      float* out, int64_t rows, int64_t t, int64_t c) {
-  const int64_t shape[3] = {t > 0 ? rows / t : 0, t, c};
-  const int64_t sa[3] = {t * c, c, 1};
-  const int64_t sb[3] = {c, 0, 1};
-  BinaryBcast(sub_op ? Bin::kSub : Bin::kAdd, a, b, out, shape, sa, sb, 3,
-              rows * c);
-}
-
-void GemmEpilogueRegion(float* c, int64_t ldc, int64_t r0, int64_t nrows,
-                        int64_t j0, int64_t ncols, const float* bias,
-                        int32_t act, const float* residual, int32_t res_op,
-                        bool res_is_lhs) {
-  // Bias + activation first, exactly AddBiasEpilogueT's per-element
-  // expression (f(x + b), one add then the activation) restricted to the
-  // region; then the residual binary, exactly BinarySameT's. Each stage
+void GemmEpilogueRows(float* c, int64_t n, int64_t r0, int64_t nrows,
+                      const float* bias, int32_t act, const float* residual,
+                      int32_t res_op, bool res_is_lhs) {
+  // Bias + activation is AddBiasActRows' row loop run in place, then the
+  // residual binary is BinarySame's loop over the same rows. Each stage
   // is a single IEEE op or an opaque GeluFwd call, so nothing contracts
-  // across them and the region matches the unfused op pair bit for bit.
-  for (int64_t r = r0; r < r0 + nrows; ++r) {
-    float* crow = c + r * ldc + j0;
-    if (bias != nullptr) {
-      const float* pb = bias + j0;
-      switch (static_cast<FusedAct>(act)) {
-        case FusedAct::kRelu:
-          for (int64_t j = 0; j < ncols; ++j) {
-            const float z = crow[j] + pb[j];
-            crow[j] = z > 0.0f ? z : 0.0f;
-          }
-          break;
-        case FusedAct::kGelu:
-          for (int64_t j = 0; j < ncols; ++j) {
-            crow[j] = GeluFwd(crow[j] + pb[j]);
-          }
-          break;
-        case FusedAct::kNone:
-          for (int64_t j = 0; j < ncols; ++j) {
-            crow[j] = crow[j] + pb[j];
-          }
-          break;
+  // across them and the rows match the unfused op pair bit for bit.
+  if (bias != nullptr) {
+    FusedActDispatch(static_cast<FusedAct>(act), [&](auto f) {
+      BiasActRowsT(c, bias, c, r0, r0 + nrows, n, f);
+    });
+  }
+  if (residual != nullptr) {
+    float* o = c + r0 * n;
+    const float* res = residual + r0 * n;
+    BinaryDispatch(static_cast<Bin>(res_op), [&](auto f) {
+      if (res_is_lhs) {
+        BinaryRowT(res, o, o, nrows * n, f);
+      } else {
+        BinaryRowT(o, res, o, nrows * n, f);
       }
-    }
-    if (residual != nullptr) {
-      const float* rrow = residual + r * ldc + j0;
-      // Dispatch on the op OUTSIDE the element loop (a per-element switch
-      // blocks vectorization); ApplyBin with a compile-time op folds to
-      // the bare instruction.
-      auto sweep = [&](auto binop) {
-        if (res_is_lhs) {
-          for (int64_t j = 0; j < ncols; ++j) {
-            crow[j] = binop(rrow[j], crow[j]);
-          }
-        } else {
-          for (int64_t j = 0; j < ncols; ++j) {
-            crow[j] = binop(crow[j], rrow[j]);
-          }
-        }
-      };
-      switch (static_cast<Bin>(res_op)) {
-        case Bin::kAdd:
-          sweep([](float x, float y) { return ApplyBin(Bin::kAdd, x, y); });
-          break;
-        case Bin::kSub:
-          sweep([](float x, float y) { return ApplyBin(Bin::kSub, x, y); });
-          break;
-        case Bin::kMul:
-          sweep([](float x, float y) { return ApplyBin(Bin::kMul, x, y); });
-          break;
-        case Bin::kDiv:
-          sweep([](float x, float y) { return ApplyBin(Bin::kDiv, x, y); });
-          break;
-        case Bin::kMax:
-          sweep([](float x, float y) { return ApplyBin(Bin::kMax, x, y); });
-          break;
-        case Bin::kMin:
-          sweep([](float x, float y) { return ApplyBin(Bin::kMin, x, y); });
-          break;
-      }
-    }
+    });
   }
 }
 
@@ -1213,89 +1163,22 @@ Tensor Softmax(const Tensor& t, int64_t dim) {
 }
 
 Tensor LogSoftmax(const Tensor& t, int64_t dim) {
+  if (trace::Active()) trace::RecordUnsupported("LogSoftmax");
   dim = NormalizeDim(dim, t.dim());
   int64_t outer, mid, inner;
   SplitAt(t.shape(), dim, &outer, &mid, &inner);
   Tensor out = Tensor::Empty(t.shape());
   raw::LogSoftmaxDim(t.data(), out.data(), outer, mid, inner);
-  if (trace::Active()) {
-    trace::RecordReduction(trace::OpKind::kLogSoftmax, t, out, outer, mid,
-                           inner);
-  }
   return out;
 }
 
-// The fused softmax pair promises bitwise identity with the unfused
-// MulScalar -> AddConst -> Softmax chain (and its backward), whose
+// The softmax step of AttentionBackward promises bitwise identity with
+// the gradient of the MulScalar -> AddConst -> Softmax chain, whose
 // kernels round every intermediate to float. GCC contracts mul+add into
 // fma even across statements at -O3 -march=native, which would skip one
-// rounding, so contraction is off for exactly these functions (the raw
-// row kernel carries the loops; both entry points live in the region).
+// rounding, so contraction is off for exactly this function.
 #pragma GCC push_options
 #pragma GCC optimize("fp-contract=off")
-
-namespace raw {
-
-void ScaledMaskedSoftmaxRows(const float* pi, float* po, int64_t rows,
-                             int64_t mid, float scale, const float* pm,
-                             int64_t sq) {
-  ParallelFor(rows, GrainFor(kReductionGrain, 3 * mid),
-              [&](int64_t begin, int64_t end) {
-                for (int64_t r = begin; r < end; ++r) {
-                  const float* in_row = pi + r * mid;
-                  float* out_row = po + r * mid;
-                  const float* mask_row =
-                      pm != nullptr ? pm + (r % sq) * mid : nullptr;
-                  // v = scale*x (+ mask), with the same two roundings as
-                  // the unfused MulScalar -> AddConst chain (kept as two
-                  // statements so the compiler cannot contract to an fma).
-                  for (int64_t m = 0; m < mid; ++m) {
-                    const float sv = in_row[m] * scale;
-                    out_row[m] =
-                        mask_row != nullptr ? sv + mask_row[m] : sv;
-                  }
-                  float mx = out_row[0];
-                  for (int64_t m = 1; m < mid; ++m) {
-                    mx = std::max(mx, out_row[m]);
-                  }
-                  float denom = 0.0f;
-                  for (int64_t m = 0; m < mid; ++m) {
-                    const float ex = std::exp(out_row[m] - mx);
-                    out_row[m] = ex;
-                    denom += ex;
-                  }
-                  const float inv = 1.0f / denom;
-                  for (int64_t m = 0; m < mid; ++m) {
-                    out_row[m] *= inv;
-                  }
-                }
-              });
-}
-
-}  // namespace raw
-
-Tensor ScaledMaskedSoftmax(const Tensor& t, float scale, const Tensor* mask) {
-  LIPF_CHECK_GE(t.dim(), 1);
-  const int64_t mid = t.size(-1);
-  const int64_t rows = t.numel() / std::max<int64_t>(1, mid);
-  int64_t sq = 1;
-  const float* pm = nullptr;
-  if (mask != nullptr) {
-    LIPF_CHECK_EQ(mask->dim(), 2);
-    LIPF_CHECK_EQ(mask->size(1), mid);
-    LIPF_CHECK_GE(t.dim(), 2);
-    LIPF_CHECK_EQ(t.size(-2), mask->size(0));
-    sq = mask->size(0);
-    pm = mask->data();
-  }
-  Tensor out = Tensor::Empty(t.shape());
-  raw::ScaledMaskedSoftmaxRows(t.data(), out.data(), rows, mid, scale, pm,
-                               sq);
-  if (trace::Active()) {
-    trace::RecordScaledMaskedSoftmax(t, mask, out, rows, mid, sq, scale);
-  }
-  return out;
-}
 
 Tensor ScaledMaskedSoftmaxBackward(const Tensor& g, const Tensor& y,
                                    float scale) {
@@ -1603,35 +1486,6 @@ Tensor AddBiasActBackward(const Tensor& g, const Tensor& x,
       break;
   }
   return g;  // identity epilogue: dL/dz is the upstream gradient itself
-}
-
-namespace {
-
-Tensor BroadcastMidImpl(bool sub_op, const Tensor& a, const Tensor& b) {
-  LIPF_CHECK_EQ(a.dim(), 3);
-  LIPF_CHECK_EQ(b.dim(), 3);
-  LIPF_CHECK_EQ(b.size(1), 1);
-  LIPF_CHECK_EQ(a.size(0), b.size(0));
-  LIPF_CHECK_EQ(a.size(2), b.size(2));
-  const int64_t t = a.size(1);
-  const int64_t c = a.size(2);
-  Tensor out = Tensor::Empty(a.shape());
-  raw::BroadcastMidRows(sub_op, a.data(), b.data(), out.data(),
-                        a.size(0) * t, t, c);
-  if (trace::Active()) {
-    trace::RecordBroadcastMid(sub_op, a, b, out, a.size(0) * t, t, c);
-  }
-  return out;
-}
-
-}  // namespace
-
-Tensor SubBroadcastMid(const Tensor& a, const Tensor& b) {
-  return BroadcastMidImpl(/*sub_op=*/true, a, b);
-}
-
-Tensor AddBroadcastMid(const Tensor& a, const Tensor& b) {
-  return BroadcastMidImpl(/*sub_op=*/false, a, b);
 }
 
 bool AllClose(const Tensor& a, const Tensor& b, float atol, float rtol) {

@@ -123,19 +123,12 @@ Tensor Softmax(const Tensor& t, int64_t dim);
 Tensor LogSoftmax(const Tensor& t, int64_t dim);
 
 // ---- Fused kernels ----
-// Single-pass fusions of the model's hot elementwise chains (see DESIGN.md
-// "Memory architecture"). Each performs the same float operations in the
-// same order as the unfused chain it replaces, so results are bitwise
-// identical — the win is one output tensor and one memory pass instead of
-// three.
+// Attention and the Linear epilogue AddBiasAct (see DESIGN.md §7).
 
-// softmax(scale * t [+ mask], dim=-1). mask, when non-null, is 2-d
-// [t.size(-2), t.size(-1)] and broadcasts over the leading dims (the
-// attention-score layout). Equals Softmax(AddConst(MulScalar(t, scale),
-// mask), -1) bit for bit.
-Tensor ScaledMaskedSoftmax(const Tensor& t, float scale, const Tensor* mask);
-// Gradient of the above w.r.t. t given upstream g and output y:
-// ((g - sum(g*y, -1)) * y) * scale, one pass per row.
+// Gradient of softmax(scale * t [+ mask], dim=-1) w.r.t. t given upstream
+// g and the probabilities y: ((g - sum(g*y, -1)) * y) * scale, one pass
+// per row (AttentionBackward's softmax step). Equals the gradient of the
+// Softmax(AddConst(MulScalar(t, scale), mask), -1) chain bit for bit.
 Tensor ScaledMaskedSoftmaxBackward(const Tensor& g, const Tensor& y,
                                    float scale);
 
@@ -146,8 +139,8 @@ Tensor ScaledMaskedSoftmaxBackward(const Tensor& g, const Tensor& y,
 // they come. mask, when non-null, is an additive [Sq, Sk] matrix. When
 // probs is non-null it receives the probabilities [B, H, Sq, Sk] for the
 // backward; the output is bitwise the same either way. Differs from the
-// composed MatMulTransB -> ScaledMaskedSoftmax -> MatMul chain only in
-// rounding, within the bounds DESIGN.md states. Charges
+// composed MatMulTransB -> MulScalar -> AddConst -> Softmax -> MatMul
+// chain only in rounding, within the bounds DESIGN.md states. Charges
 // B*H*Sq*Sk*(dk+dv) MACs, like that chain.
 Tensor Attention(const Tensor& q, const Tensor& k, const Tensor& v,
                  int64_t num_heads, float scale, const Tensor* mask,
@@ -171,11 +164,6 @@ Tensor AddBiasAct(const Tensor& x, const Tensor& bias, FusedAct act);
 // bitwise-identical act'). The bias gradient is ReduceToShape of this.
 Tensor AddBiasActBackward(const Tensor& g, const Tensor& x,
                           const Tensor& bias, FusedAct act);
-
-// a [B, T, C] (-) b [B, 1, C]: the instance-norm shift/unshift. The same
-// row loop as Sub/Add (raw::BroadcastMidRows), traced as kBroadcastMid.
-Tensor SubBroadcastMid(const Tensor& a, const Tensor& b);
-Tensor AddBroadcastMid(const Tensor& a, const Tensor& b);
 
 // ---- Testing helpers ----
 bool AllClose(const Tensor& a, const Tensor& b, float atol = 1e-5f,

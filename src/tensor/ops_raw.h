@@ -155,14 +155,6 @@ void SoftmaxDim(const float* in, float* out, int64_t outer, int64_t mid,
 void LogSoftmaxDim(const float* in, float* out, int64_t outer, int64_t mid,
                    int64_t inner);
 
-// Fused softmax(scale * x [+ mask]) over rows of width mid; mask (when
-// non-null) is [sq, mid] and row r uses mask row r % sq. Compiled with
-// fp-contract off (see ops.cc) so it stays bitwise equal to the unfused
-// chain.
-void ScaledMaskedSoftmaxRows(const float* in, float* out, int64_t rows,
-                             int64_t mid, float scale, const float* mask,
-                             int64_t sq);
-
 // ---- Vectorized exp ----
 // One 16-lane float vector (GCC vector extension): a zmm register under
 // AVX-512, two ymm under AVX2, four xmm on the portable baseline. Every
@@ -261,25 +253,17 @@ void TimeDelayAggregateRows(const float* q, const float* k, const float* v,
 void AddBiasActRows(const float* x, const float* bias, float* out,
                     int64_t rows, int64_t c, FusedAct act);
 
-// a [rows, c] (-|+) b broadcast over groups of t rows (the [B, T, C] vs
-// [B, 1, C] instance-norm shift): b row index is r / t. BinaryBcast over
-// the shape [rows / t, t, c].
-void BroadcastMidRows(bool sub_op, const float* a, const float* b,
-                      float* out, int64_t rows, int64_t t, int64_t c);
-
-// GEMM epilogue over one cache-hot region of C: for rows [r0, r0+nrows)
-// and columns [j0, j0+ncols) of a row-major [*, ldc] matrix, applies
-// act(c + bias[j]) (bias may be null) and then the residual binary
-// `res_op` against `residual` read at the same offsets as C (residual may
-// be null; res_is_lhs puts it on the binary's left). Element semantics
-// are exactly AddBiasActRows followed by BinarySame — same expressions,
-// same GeluFwd — so a GEMM with this epilogue is bitwise identical to the
-// unfused op sequence. Serial: the packed GEMM (tensor/gemm.cc) calls it
-// from inside its own ParallelFor chunks.
-void GemmEpilogueRegion(float* c, int64_t ldc, int64_t r0, int64_t nrows,
-                        int64_t j0, int64_t ncols, const float* bias,
-                        int32_t act, const float* residual, int32_t res_op,
-                        bool res_is_lhs);
+// GEMM epilogue over rows [r0, r0+nrows) of a row-major [*, n] matrix C,
+// in place: act(c + bias[j]) (bias may be null), then the residual binary
+// `res_op` against `residual`, read at the same offsets as C (residual
+// may be null; res_is_lhs puts it on the binary's left). The stages run
+// AddBiasActRows' and BinarySame's own loops, so a GEMM with this
+// epilogue is bitwise identical to the unfused op sequence. Serial: the
+// packed GEMM (tensor/gemm.cc) calls it from inside its own ParallelFor
+// chunks.
+void GemmEpilogueRows(float* c, int64_t n, int64_t r0, int64_t nrows,
+                      const float* bias, int32_t act, const float* residual,
+                      int32_t res_op, bool res_is_lhs);
 
 }  // namespace raw
 }  // namespace lipformer

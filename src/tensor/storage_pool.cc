@@ -3,6 +3,8 @@
 #include <mutex>
 #include <new>
 
+#include "common/logging.h"
+
 namespace lipformer {
 namespace {
 
@@ -10,7 +12,8 @@ using internal::StorageBlock;
 
 constexpr int64_t kMinCapacity = 16;  // floats; one cache line of payload
 constexpr int kMinClass = 4;          // log2(kMinCapacity)
-constexpr int kNumClasses = 44;       // up to 2^(4+43) floats — unreachable
+constexpr int kNumClasses = 44;       // up to 2^(4+43) floats
+constexpr int64_t kMaxCapacity = kMinCapacity << (kNumClasses - 1);
 // Freelists are bounded so a transient spike (e.g. one huge eval batch)
 // cannot pin memory forever: at most 64 blocks or ~64 MB parked per class,
 // whichever is smaller, with at least one slot so the hot path always
@@ -58,28 +61,32 @@ void FreeBlock(StorageBlock* block) {
   ::operator delete(static_cast<void*>(block), std::align_val_t{64});
 }
 
+// log2 of the capacity Acquire reserves for `numel` floats. Fails loudly
+// above the largest class, where doubling the capacity would overflow.
+int SizeClass(int64_t numel) {
+  LIPF_CHECK_LE(numel, kMaxCapacity)
+      << "storage request exceeds the largest size class";
+  int cls = kMinClass;
+  while ((int64_t{1} << cls) < numel) ++cls;
+  return cls;
+}
+
 }  // namespace
 
 int64_t StorageCapacityForNumel(int64_t numel) {
-  int64_t capacity = kMinCapacity;
-  while (capacity < numel) capacity <<= 1;
-  return capacity;
+  return int64_t{1} << SizeClass(numel);
 }
 
 Storage Storage::Acquire(int64_t numel) {
   Pool& pool = ThePool();
   pool.acquires.fetch_add(1, std::memory_order_relaxed);
 
-  int64_t capacity = kMinCapacity;
-  int cls = kMinClass;
-  while (capacity < numel) {
-    capacity <<= 1;
-    ++cls;
-  }
+  const int cls = SizeClass(numel);
+  const int64_t capacity = int64_t{1} << cls;
 
   const bool enabled = pool.enabled.load(std::memory_order_relaxed);
   StorageBlock* block = nullptr;
-  if (enabled && cls - kMinClass < kNumClasses) {
+  if (enabled) {
     FreeList& list = pool.lists[cls - kMinClass];
     std::lock_guard<std::mutex> lock(pool.mu);
     if (list.head != nullptr) {
@@ -97,7 +104,7 @@ Storage Storage::Acquire(int64_t numel) {
     block->next = nullptr;
   } else {
     pool.heap_allocs.fetch_add(1, std::memory_order_relaxed);
-    block = NewBlock(cls, capacity, enabled && cls - kMinClass < kNumClasses);
+    block = NewBlock(cls, capacity, enabled);
   }
   pool.bytes_live.fetch_add(bytes, std::memory_order_relaxed);
 

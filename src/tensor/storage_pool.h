@@ -73,7 +73,8 @@ class Storage {
   }
 
   // Returns a handle to at least `numel` floats of UNINITIALIZED memory
-  // (64-byte aligned). numel <= 0 is treated as the minimum size class.
+  // (64-byte aligned). numel <= 0 is treated as the minimum size class;
+  // numel above the largest class (2^47 floats) CHECK-fails.
   static Storage Acquire(int64_t numel);
 
   float* data() const { return block_ ? block_->data() : nullptr; }
@@ -115,7 +116,8 @@ void SetStoragePoolEnabled(bool enabled);
 void ClearStoragePool();
 
 // The capacity (in floats) Acquire would reserve for `numel` elements:
-// the next power of two, with a 16-float minimum. Exposed for tests.
+// the next power of two, with a 16-float minimum; CHECK-fails like
+// Acquire above the largest class. Exposed for tests.
 int64_t StorageCapacityForNumel(int64_t numel);
 
 }  // namespace lipformer

@@ -6,9 +6,9 @@
 //     [kExpLo, 0], exact at 0, exactly +0 below the underflow edge, NaN
 //     on NaN, and the same bits in every lane.
 //   * The kernel stays within kFwdTol of the composed MatMulTransB ->
-//     ScaledMaskedSoftmax -> MatMul chain, and its autograd rule within
-//     kGradTol of that chain's gradients, over a grid spanning every
-//     attention shape the registry builds.
+//     MulScalar -> AddConst -> Softmax -> MatMul chain, and its autograd
+//     rule within kGradTol of that chain's gradients, over a grid
+//     spanning every attention shape the registry builds.
 //   * A NaN in q, k or v reaches the output rows that read it.
 //
 // The kernel is called on exactly sized std::vector buffers so ASan sees
@@ -149,8 +149,10 @@ Variable MergeHeads(const Variable& t) {
 Variable ReferenceAttention(const Variable& q, const Variable& k,
                             const Variable& v, int64_t heads, float scale,
                             const Tensor* mask) {
-  Variable scores = MatMulTransB(SplitHeads(q, heads), SplitHeads(k, heads));
-  Variable p = ScaledMaskedSoftmax(scores, scale, mask);
+  Variable scores = MulScalar(
+      MatMulTransB(SplitHeads(q, heads), SplitHeads(k, heads)), scale);
+  if (mask != nullptr) scores = AddConst(scores, *mask);
+  Variable p = Softmax(scores, -1);
   return MergeHeads(MatMul(p, SplitHeads(v, heads)));
 }
 

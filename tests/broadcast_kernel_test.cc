@@ -1,8 +1,8 @@
 // The strided kernels that walk by rows and odometers (tensor/ops_raw.h):
-// raw::BinaryBcast, raw::BroadcastMidRows (the row kernel over [rows/t,
-// t, c]) and raw::PermuteCopy. Each is compared bitwise against a plain
-// loop that computes every output element on its own — its multi-index,
-// its operand offsets, one ApplyBin — at one and at four tensor threads.
+// raw::BinaryBcast and raw::PermuteCopy. Each is compared bitwise
+// against a plain loop that computes every output element on its own —
+// its multi-index, its operand offsets, one ApplyBin — at one and at four
+// tensor threads.
 // The shapes cover every Bin op, ranks 1-5, size-1 and zero-size dims, a
 // scalar operand on either side, broadcast on the inner, a middle and the
 // outer dim, strides that fit no row pattern, and sizes on both sides of
@@ -184,29 +184,15 @@ TEST(BroadcastKernelTest, UnpatternedStridesWalkOneElementRows) {
   ExpectBinaryMatchesReference({6, 7}, {7, 1}, {1, 6}, 42, 42);
 }
 
-TEST(BroadcastKernelTest, BroadcastMidRowsMatchesReference) {
-  const ThreadCountGuard guard;
+// Instance norm's shift and unshift, Sub/Add of [B, T, C] and its last
+// row [B, 1, C], reach BinaryBcast with these strides.
+TEST(BroadcastKernelTest, InstanceNormShiftsMatchReference) {
   for (const auto& [batch, t, c] :
        std::vector<std::tuple<int64_t, int64_t, int64_t>>{
            {1, 336, 21}, {32, 336, 21}, {3, 1, 5}, {4, 7, 1}, {2, 5000, 3},
            {0, 4, 3}, {3, 0, 3}, {3, 4, 0}}) {
-    SCOPED_TRACE(ShapeToString({batch, t, c}));
-    const int64_t rows = batch * t;
-    const std::vector<float> a = RandomBuffer(rows * c, 21);
-    const std::vector<float> b = RandomBuffer(batch * c, 22);
-    for (const bool sub_op : {true, false}) {
-      const std::vector<float> want =
-          ReferenceBinary(sub_op ? Bin::kSub : Bin::kAdd, a, b,
-                          {batch, t, c}, {t * c, c, 1}, {c, 0, 1});
-      for (const int threads : {1, 4}) {
-        SetNumThreads(threads);
-        std::vector<float> got(want.size());
-        raw::BroadcastMidRows(sub_op, a.data(), b.data(), got.data(), rows,
-                              t, c);
-        EXPECT_TRUE(BitwiseEqual(got, want))
-            << "sub " << sub_op << ", " << threads << " threads";
-      }
-    }
+    ExpectBinaryMatchesReference({batch, t, c}, {t * c, c, 1}, {c, 0, 1},
+                                 batch * t * c, batch * c);
   }
 }
 

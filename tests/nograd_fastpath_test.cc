@@ -3,8 +3,6 @@
 // no requires_grad — and the produced values must be bitwise identical to
 // the ones computed through the recorded-tape path.
 
-#include <cstring>
-
 #include <gtest/gtest.h>
 
 #include "core/lipformer.h"
@@ -15,13 +13,8 @@
 namespace lipformer {
 namespace {
 
+using testing::BitwiseEqual;
 using testing::RandomTensor;
-
-bool BitwiseEqual(const Tensor& a, const Tensor& b) {
-  return a.shape() == b.shape() &&
-         std::memcmp(a.data(), b.data(),
-                     static_cast<size_t>(a.numel()) * sizeof(float)) == 0;
-}
 
 TEST(NoGradFastPathTest, OpsSkipMakeNodeUnderNoGradGuard) {
   Variable a(RandomTensor({4, 8}, 1), /*requires_grad=*/true);

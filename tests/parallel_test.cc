@@ -14,7 +14,6 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <string>
 #include <thread>
@@ -34,6 +33,7 @@
 namespace lipformer {
 namespace {
 
+using testing::BitwiseEqual;
 using testing::RandomTensor;
 
 // Runs fn with the global kernel thread count pinned to `threads` and
@@ -43,12 +43,6 @@ void WithThreads(int threads, Fn fn) {
   SetNumThreads(threads);
   fn();
   SetNumThreads(DefaultNumThreads());
-}
-
-bool BitwiseEqual(const Tensor& a, const Tensor& b) {
-  if (!SameShape(a.shape(), b.shape())) return false;
-  return std::memcmp(a.data(), b.data(),
-                     sizeof(float) * static_cast<size_t>(a.numel())) == 0;
 }
 
 TEST(ThreadPoolTest, ParallelForCoversEveryIndexOnce) {

@@ -26,6 +26,7 @@
 namespace lipformer {
 namespace {
 
+using testing::BitwiseEqual;
 using testing::RandomTensor;
 using testing::ThreadCountGuard;
 
@@ -37,12 +38,6 @@ std::string FreshTempPath(const std::string& name) {
   const std::string path = TempPath(name);
   std::remove(path.c_str());
   return path;
-}
-
-bool BitwiseEqual(const Tensor& a, const Tensor& b) {
-  return a.shape() == b.shape() &&
-         std::memcmp(a.data(), b.data(),
-                     static_cast<size_t>(a.numel()) * sizeof(float)) == 0;
 }
 
 // The module-forward oracle: the bundle's model rebuilt outside any

@@ -7,7 +7,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <future>
 #include <memory>
@@ -26,16 +25,11 @@
 namespace lipformer {
 namespace {
 
+using testing::BitwiseEqual;
 using testing::RandomTensor;
 
 std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
-}
-
-bool BitwiseEqual(const Tensor& a, const Tensor& b) {
-  return a.numel() == b.numel() &&
-         std::memcmp(a.data(), b.data(),
-                     static_cast<size_t>(a.numel()) * sizeof(float)) == 0;
 }
 
 class ModelRegistryTest : public ::testing::Test {

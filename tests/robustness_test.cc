@@ -7,7 +7,6 @@
 // require killing the test binary.
 
 #include <cmath>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -23,9 +22,12 @@
 #include "serve/checkpoint.h"
 #include "train/snapshot.h"
 #include "train/trainer.h"
+#include "tests/test_util.h"
 
 namespace lipformer {
 namespace {
+
+using testing::BitwiseEqual;
 
 std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
@@ -42,12 +44,6 @@ void WriteFileOrDie(const std::string& path, const std::string& data) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(data.data(), static_cast<std::streamsize>(data.size()));
   ASSERT_TRUE(out.good()) << path;
-}
-
-bool BitwiseEqual(const Tensor& a, const Tensor& b) {
-  return a.numel() == b.numel() &&
-         std::memcmp(a.data(), b.data(),
-                     static_cast<size_t>(a.numel()) * sizeof(float)) == 0;
 }
 
 bool ParamsBitwiseEqual(Module& a, Module& b) {
@@ -198,6 +194,41 @@ TEST_F(RobustnessTest, CheckpointTruncationSweepAlwaysFailsCleanly) {
     Result<serve::Checkpoint> loaded = serve::ReadCheckpoint(trunc);
     EXPECT_FALSE(loaded.ok()) << "prefix of " << len << " bytes (of "
                               << bytes.size() << ") loaded successfully";
+  }
+}
+
+// A 45-byte file holding one rank-1 tensor header and no data. The
+// reader must reject each before it allocates: at dim 2^62 the byte size
+// wraps to 0 in 64 bits, at 2^62 + 1 to 4, and 2^36 floats claim 256 GiB
+// that the file does not hold.
+TEST_F(RobustnessTest, CraftedTensorHeadersReturnInvalidArgument) {
+  struct Header {
+    int64_t dim;
+    uint64_t byte_len;
+  };
+  const std::string path = TempPath("crafted.ckpt");
+  for (const Header& h : {Header{int64_t{1} << 62, 0},
+                          Header{(int64_t{1} << 62) + 1, 4},
+                          Header{int64_t{1} << 36, uint64_t{1} << 38}}) {
+    SCOPED_TRACE("dim " + std::to_string(h.dim));
+    std::string bytes = "LPFCKPT2";
+    auto put = [&bytes](auto v) {
+      bytes.append(reinterpret_cast<const char*>(&v), sizeof(v));
+    };
+    put(uint32_t{2});  // version
+    put(uint32_t{0});  // metadata entries
+    put(uint32_t{1});  // tensors
+    put(uint32_t{1});  // name length
+    bytes += 'w';
+    put(uint32_t{1});  // rank
+    put(h.dim);
+    put(h.byte_len);
+    ASSERT_EQ(bytes.size(), 45u);
+    WriteFileOrDie(path, bytes);
+    Result<serve::Checkpoint> loaded = serve::ReadCheckpoint(path);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
+        << loaded.status().ToString();
   }
 }
 

@@ -35,6 +35,7 @@
 namespace lipformer {
 namespace {
 
+using testing::BitwiseEqual;
 using testing::RandomTensor;
 
 std::string TempPath(const std::string& name) {
@@ -47,12 +48,6 @@ std::string FreshTempPath(const std::string& name) {
   const std::string path = TempPath(name);
   std::remove(path.c_str());
   return path;
-}
-
-bool BitwiseEqual(const Tensor& a, const Tensor& b) {
-  return a.numel() == b.numel() &&
-         std::memcmp(a.data(), b.data(),
-                     static_cast<size_t>(a.numel()) * sizeof(float)) == 0;
 }
 
 // Minimal module with one named parameter of a chosen shape, for

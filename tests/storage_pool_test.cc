@@ -5,7 +5,6 @@
 // the pool on and off, at any thread count — and the steady-state
 // allocation budget of train, inference and serving steps.
 
-#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -27,6 +26,7 @@
 namespace lipformer {
 namespace {
 
+using testing::BitwiseEqual;
 using testing::RandomTensor;
 
 // Restores pool enablement and thread count on scope exit so a failing
@@ -53,6 +53,13 @@ TEST(StoragePoolTest, SizeClassRounding) {
   EXPECT_EQ(StorageCapacityForNumel(1000), 1024);
   EXPECT_EQ(StorageCapacityForNumel(1024), 1024);
   EXPECT_EQ(StorageCapacityForNumel(1025), 2048);
+  // Above the largest class (2^47 floats) a request fails loudly instead
+  // of shifting the capacity past INT64_MAX.
+  constexpr int64_t kLargest = int64_t{1} << 47;
+  EXPECT_EQ(StorageCapacityForNumel(kLargest), kLargest);
+  EXPECT_DEATH((void)StorageCapacityForNumel(kLargest + 1),
+               "largest size class");
+  EXPECT_DEATH((void)Storage::Acquire(INT64_MAX), "largest size class");
 }
 
 TEST(StoragePoolTest, ReleaseParksBlockAndNextAcquireReusesIt) {
@@ -198,12 +205,6 @@ StepResult RunTrainStep(const Batch& batch) {
     result.grads.push_back(p.grad().Clone());
   }
   return result;
-}
-
-bool BitwiseEqual(const Tensor& a, const Tensor& b) {
-  return a.shape() == b.shape() &&
-         std::memcmp(a.data(), b.data(),
-                     static_cast<size_t>(a.numel()) * sizeof(float)) == 0;
 }
 
 TEST(StoragePoolTest, ModelStepBitwiseIdenticalPoolOnVsOffAcrossThreads) {

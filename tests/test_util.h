@@ -2,6 +2,7 @@
 #define LIPFORMER_TESTS_TEST_UTIL_H_
 
 #include <cmath>
+#include <cstring>
 #include <functional>
 
 #include <gtest/gtest.h>
@@ -43,6 +44,14 @@ inline void CheckGradient(
     EXPECT_NEAR(analytic, numeric, tol)
         << "coordinate " << i << " of " << probe.numel();
   }
+}
+
+// Same shape and the same bits in every element.
+inline bool BitwiseEqual(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         (a.numel() == 0 ||
+          std::memcmp(a.data(), b.data(),
+                      static_cast<size_t>(a.numel()) * sizeof(float)) == 0);
 }
 
 // Restores the tensor thread count on scope exit.

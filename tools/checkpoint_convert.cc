@@ -6,9 +6,9 @@
 // check v1 admits), and the result is re-saved as v2 — after which every
 // future load verifies names and shapes per tensor.
 //
-//   checkpoint_convert --in=old.bin --out=new.ckpt --model=lipformer \
-//       --input=96 --horizon=24 --channels=7 [--hidden=64] [--heads=4] \
-//       [--layers=2] [--patch=48] [--num-covariates=0] [--seed=1] \
+//   checkpoint_convert --in=old.bin --out=new.ckpt --model=lipformer
+//       --input=96 --horizon=24 --channels=7 [--hidden=64] [--heads=4]
+//       [--layers=2] [--patch=48] [--num-covariates=0] [--seed=1]
 //       [--bundle]
 //
 // With --bundle the output is a serving bundle (loadable by
