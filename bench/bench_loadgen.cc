@@ -25,20 +25,11 @@
 // Exits 2 on an unknown or malformed flag.
 //
 //   bench_loadgen [--chaos-duration-ms=N] [--chaos-goodput-floor-pct=N]
-//                 [--json=FILE]
 //
 // Capacity, deadlines and the fault timeline scale with the measured
 // speed of this box, so the same checks hold on sanitizer builds. The
 // rates and latencies printed here are diagnostics; serving performance
 // is measured by benchmark/ (its `overload` workload measures capacity).
-//
-// JSON output (checked by check_chaos.sh):
-//   {"base_rps": ..., "nofault": {phase}, "faulted": {phase},
-//    "nofault_after": {phase}, "nofault_breaker_trips": ...,
-//    "nofault_after_breaker_trips": ..., "breaker_trips": ...,
-//    "breaker_probes": ..., "breaker_state": "closed", "recovered": ...,
-//    "executed_past_deadline": ..., "server_nonfinite": ...,
-//    "goodput_ratio": ...}
 
 #include <stdlib.h>
 
@@ -59,13 +50,13 @@
 #include <utility>
 #include <vector>
 
-#include "bench_util/profiler.h"
 #include "common/fault_injection.h"
 #include "common/interrupt.h"
 #include "common/parse.h"
 #include "common/random.h"
 #include "data/scaler.h"
 #include "models/factory.h"
+#include "serve/batcher.h"
 #include "serve/breaker.h"
 #include "serve/registry.h"
 #include "serve/session.h"
@@ -83,7 +74,6 @@ constexpr int kSlowInferMs = 30;
 struct Flags {
   int64_t duration_ms = 4000;  // per phase
   int64_t goodput_floor_pct = 85;
-  std::string json_path;
 };
 
 // Fills `flags` from argv; false (after printing why) on an unknown flag
@@ -102,9 +92,6 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
     } else if (key == "--chaos-goodput-floor-pct") {
       ok = ok && ParseInt64(value, &flags->goodput_floor_pct) &&
            flags->goodput_floor_pct >= 0 && flags->goodput_floor_pct <= 100;
-    } else if (key == "--json") {
-      flags->json_path = value;
-      ok = ok && !value.empty();
     } else {
       std::fprintf(stderr, "bench_loadgen: unknown flag '%s'\n", arg.c_str());
       return false;
@@ -264,9 +251,9 @@ class Phase {
     std::vector<double> latencies = latencies_.samples();
     if (!latencies.empty()) {
       std::sort(latencies.begin(), latencies.end());
-      result_.p50_us = SortedPercentile(latencies, 50.0) * 1e6;
-      result_.p99_us = SortedPercentile(latencies, 99.0) * 1e6;
-      result_.p999_us = SortedPercentile(latencies, 99.9) * 1e6;
+      result_.p50_us = serve::SortedPercentile(latencies, 50.0) * 1e6;
+      result_.p99_us = serve::SortedPercentile(latencies, 99.0) * 1e6;
+      result_.p999_us = serve::SortedPercentile(latencies, 99.9) * 1e6;
     }
     return result_;
   }
@@ -387,7 +374,7 @@ class Phase {
   // Written by the waiter thread (result_.retries by the retrier, under
   // mu_) and read by Run after both joined.
   PhaseResult result_;
-  LatencyRecorder latencies_;
+  serve::LatencyRecorder latencies_;
   Clock::time_point last_completion_{};
 };
 
@@ -451,7 +438,8 @@ void PrintPhase(const char* tag, const PhaseResult& p) {
                "%s: target=%.1f rps deadline=%.0fms: offered=%lld "
                "completed=%lld failed=%lld shed=%lld expired=%lld "
                "unavailable=%lld internal=%lld retries=%lld nonfinite=%lld "
-               "mismatched=%lld goodput=%.1f rps p50=%.0fus p99=%.0fus\n",
+               "mismatched=%lld goodput=%.1f rps p50=%.0fus p99=%.0fus "
+               "p999=%.0fus\n",
                tag, p.target_rps, p.deadline_ms,
                static_cast<long long>(p.offered),
                static_cast<long long>(p.completed),
@@ -463,26 +451,7 @@ void PrintPhase(const char* tag, const PhaseResult& p) {
                static_cast<long long>(p.retries),
                static_cast<long long>(p.nonfinite),
                static_cast<long long>(p.mismatched), p.goodput_rps, p.p50_us,
-               p.p99_us);
-}
-
-void WritePhase(FILE* json, const PhaseResult& p) {
-  std::fprintf(
-      json,
-      "{\"target_rps\": %.2f, \"deadline_ms\": %.1f, \"offered\": %lld, "
-      "\"completed\": %lld, \"failed\": %lld, \"shed\": %lld, "
-      "\"expired\": %lld, \"unavailable\": %lld, \"internal\": %lld, "
-      "\"retries\": %lld, \"nonfinite\": %lld, \"mismatched\": %lld, "
-      "\"goodput_rps\": %.2f, \"p50_us\": %.1f, \"p99_us\": %.1f, "
-      "\"p999_us\": %.1f}",
-      p.target_rps, p.deadline_ms, static_cast<long long>(p.offered),
-      static_cast<long long>(p.completed), static_cast<long long>(p.failed),
-      static_cast<long long>(p.shed), static_cast<long long>(p.expired),
-      static_cast<long long>(p.unavailable),
-      static_cast<long long>(p.internal), static_cast<long long>(p.retries),
-      static_cast<long long>(p.nonfinite),
-      static_cast<long long>(p.mismatched), p.goodput_rps, p.p50_us,
-      p.p99_us, p.p999_us);
+               p.p99_us, p.p999_us);
 }
 
 // Closed-loop rows per second of `session` over 0.3 s: Predict(input)
@@ -693,36 +662,6 @@ int Run(int argc, char** argv) {
         "faulted goodput below " + std::to_string(flags.goodput_floor_pct) +
             "% of the mean no-fault goodput");
 
-  if (!flags.json_path.empty()) {
-    FILE* json = std::fopen(flags.json_path.c_str(), "w");
-    if (json == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", flags.json_path.c_str());
-      return 1;
-    }
-    std::fprintf(json, "{\"base_rps\": %.2f, \"nofault\": ", base_rps);
-    WritePhase(json, nofault);
-    std::fprintf(json, ", \"faulted\": ");
-    WritePhase(json, faulted);
-    std::fprintf(json, ", \"nofault_after\": ");
-    WritePhase(json, nofault_after);
-    std::fprintf(
-        json,
-        ", \"nofault_breaker_trips\": %lld, "
-        "\"nofault_after_breaker_trips\": %lld, \"breaker_trips\": %lld, "
-        "\"breaker_probes\": %lld, \"breaker_state\": \"%s\", "
-        "\"recovered\": %d, \"executed_past_deadline\": %lld, "
-        "\"server_nonfinite\": %lld, \"goodput_ratio\": %.3f}\n",
-        static_cast<long long>(nofault_trips),
-        static_cast<long long>(nofault_after_trips),
-        static_cast<long long>(trips),
-        static_cast<long long>(final_stats.breaker.probes),
-        serve::BreakerStateName(final_stats.breaker.state), recovered ? 1 : 0,
-        static_cast<long long>(after_all.executed_past_deadline),
-        static_cast<long long>(after_all.nonfinite_answers),
-        baseline_rps > 0 ? faulted.goodput_rps / baseline_rps : 0.0);
-    std::fclose(json);
-    std::fprintf(stderr, "wrote %s\n", flags.json_path.c_str());
-  }
   return violations ? 1 : 0;
 }
 

@@ -67,10 +67,8 @@ FLOOR_PCT="${LIPF_CHAOS_GOODPUT_FLOOR_PCT:-85}"
 echo "== chaos part 1: bench_loadgen overload + fault injection" \
      "(duration ${DURATION_MS}ms/phase, goodput floor ${FLOOR_PCT}%)"
 "${LOADGEN}" --chaos-duration-ms="${DURATION_MS}" \
-  --chaos-goodput-floor-pct="${FLOOR_PCT}" --json="${WORK}/chaos.json" \
+  --chaos-goodput-floor-pct="${FLOOR_PCT}" \
   || fail "bench_loadgen reported violations"
-grep -q '"breaker_state": "closed"' "${WORK}/chaos.json" \
-  || fail "chaos JSON does not record a closed breaker"
 
 echo "== chaos part 2: CLI serve under LIPF_FAULT"
 FLAGS=(--dataset=etth1 --scale=0.05 --model=lipformer --input=48

@@ -109,8 +109,9 @@ wait_for 20 answer_count 3 || fail "no answer after corrupt publish"
 
 echo "== !stats reports the failed reload"
 printf '!stats\n' >&3
-wait_for 20 grep -Eq "registry: +m .* reloads=1 failures=1" "${WORK}/serve.log" \
-  || fail "!stats did not report reloads=1 failures=1"
+wait_for 20 grep -Eq "^stats model=m .* reloads=1 reload_failures=1 " \
+  "${WORK}/serve.log" \
+  || fail "!stats did not report reloads=1 reload_failures=1"
 
 echo "== EOF drains and exits cleanly"
 exec 3>&-

@@ -61,9 +61,12 @@
 # `address` and `undefined`, RobustnessTest.
 # CraftedTensorHeadersReturnInvalidArgument hands ReadCheckpoint three
 # 45-byte tensor headers whose byte size wraps in 64 bits or exceeds the
-# file, which must be rejected before anything is allocated, and
+# file, which must be rejected before anything is allocated (by path
+# and through a pipe), and
 # StoragePoolTest.SizeClassRounding asks the storage pool for more than
-# its largest size class. The `chaos`
+# its largest size class. CliServeTest.* runs `serve` in-process, its
+# writer and stats threads included, and checks its stats lines
+# (ModelStatsLineTest renders one directly). The `chaos`
 # ctest (scripts/check_chaos.sh) also runs here, driving bench_loadgen's
 # overload + fault-injection phases under the sanitizer; its goodput
 # floor is relaxed below (sanitizer builds gate the correctness

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <limits>
 
 #include "tensor/ops.h"
 
@@ -77,32 +76,6 @@ std::string FormatCount(double value) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.2f%s", value, suffix);
   return buf;
-}
-
-LatencyRecorder::LatencyRecorder(int64_t capacity) : capacity_(capacity) {
-  LIPF_CHECK_GT(capacity, 0);
-  samples_.reserve(static_cast<size_t>(capacity));
-}
-
-void LatencyRecorder::Record(double seconds) {
-  if (static_cast<int64_t>(samples_.size()) < capacity_) {
-    samples_.push_back(seconds);
-  } else {
-    samples_[static_cast<size_t>(next_)] = seconds;
-  }
-  next_ = (next_ + 1) % capacity_;
-}
-
-double SortedPercentile(const std::vector<double>& sorted, double p) {
-  if (sorted.empty()) {
-    return std::numeric_limits<double>::quiet_NaN();
-  }
-  const double rank =
-      (p / 100.0) * static_cast<double>(sorted.size() - 1);
-  const size_t lo = static_cast<size_t>(rank);
-  const size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
 }
 
 std::string FormatSeconds(double seconds) {

@@ -2,7 +2,6 @@
 #define LIPFORMER_BENCH_UTIL_PROFILER_H_
 
 #include <string>
-#include <vector>
 
 #include "data/window_dataset.h"
 #include "models/forecaster.h"
@@ -33,29 +32,6 @@ ModelProfile ProfileModel(Forecaster* model, const WindowDataset& data,
 std::string FormatCount(double value);
 // Seconds with adaptive precision.
 std::string FormatSeconds(double seconds);
-
-// Linear-interpolated percentile (p in [0, 100]) of samples sorted in
-// ascending order; NaN when empty.
-double SortedPercentile(const std::vector<double>& sorted, double p);
-
-// Bounded sample reservoir; backs the serving batcher's p50/p99 latency
-// counters (serve/batcher.h). Keeps the most recent `capacity` samples in
-// a ring. Not thread-safe: the owner guards it. Percentiles come from a
-// sorted copy of samples() through SortedPercentile, so an owner that
-// records under a lock copies under it and sorts after releasing it.
-class LatencyRecorder {
- public:
-  explicit LatencyRecorder(int64_t capacity = 1 << 16);
-
-  void Record(double seconds);
-  // The retained samples, in ring order (not sorted, not by age).
-  const std::vector<double>& samples() const { return samples_; }
-
- private:
-  std::vector<double> samples_;  // ring buffer, size <= capacity
-  int64_t capacity_;
-  int64_t next_ = 0;  // ring write cursor
-};
 
 }  // namespace lipformer
 

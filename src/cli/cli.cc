@@ -82,13 +82,16 @@
 //   Every *-ms duration is at most 86400000 (24 h); a larger value, like
 //   --max-batch above 4096, is a usage error (exit 2).
 //
-// At runtime `serve` answers "!stats" request lines and SIGHUP with a
-// registry status dump (per-model reload + batcher counters) on stderr,
-// and "!health" request lines with one "health model=... breaker=..."
-// line per model on stdout (in answer order, so scripted clients can
-// poll health mid-stream). SIGPIPE is ignored: a client disconnecting
-// mid-stream drains in-flight requests and exits cleanly instead of
-// killing the server.
+// `serve` reports each model as one line of key=value pairs
+// (serve::FormatModelStats: breaker, shed and reload counters, shape,
+// request counters and latency percentiles, plan facts, per-op-kind
+// time, last reload error). It prints "stats model=..." lines on stderr
+// once the models are loaded, on a "!stats" request line and on SIGHUP,
+// and "exit model=..." lines on stderr at shutdown; a "!health" request
+// line answers with "health model=..." lines on stdout (in answer
+// order, so scripted clients can poll health mid-stream). SIGPIPE is
+// ignored: a client disconnecting mid-stream drains in-flight requests
+// and exits cleanly instead of killing the server.
 //
 // Unknown --options, stray non-option arguments and malformed numbers are
 // usage errors (they used to be silently ignored / parsed as 0).
@@ -110,7 +113,6 @@
 #include <thread>
 #include <vector>
 
-#include "bench_util/profiler.h"
 #include "common/atomic_file.h"
 #include "common/interrupt.h"
 #include "common/thread_pool.h"
@@ -652,108 +654,23 @@ bool ParseRequestValues(const std::string& csv, int64_t expected,
 
 namespace {
 
-// Startup banner for one model's compiled plan.
-void PrintPlanBanner(const serve::PlanStats& stats) {
-  std::fprintf(stderr,
-               "inference plan: %lld ops, %lld-byte arena, %lld "
-               "constants, %lld prepacked GEMMs, %lld fused "
-               "transposes\n",
-               static_cast<long long>(stats.num_ops),
-               static_cast<long long>(stats.arena_bytes),
-               static_cast<long long>(stats.num_constants),
-               static_cast<long long>(stats.prepacked_gemms),
-               static_cast<long long>(stats.fused_gemm_operands));
-  std::fprintf(stderr,
-               "inference plan: fusion %lld GEMM epilogues, %lld passes "
-               "eliminated\n",
-               static_cast<long long>(stats.fused_epilogues),
-               static_cast<long long>(stats.passes_eliminated));
-}
-
-// Exit summary of one model's plan (the request count is on the model's
-// "served" line): the per-op-kind profile.
-void PrintPlanSummary(const std::string& name,
-                      const serve::InferencePlan& plan) {
-  std::fprintf(stderr, "plan '%s': op time by kind, summed over rows\n",
-               name.c_str());
-  for (const serve::PlanOpTiming& t : plan.OpTimings()) {
-    std::fprintf(stderr, "plan:   %-22s %s calls  %s\n", t.name,
-                 FormatCount(static_cast<double>(t.calls)).c_str(),
-                 FormatSeconds(static_cast<double>(t.total_ns) * 1e-9)
-                     .c_str());
-  }
-}
-
-// Registry status dump for "!stats" request lines and SIGHUP.
-void PrintRegistryStatus(const serve::ModelRegistry& registry) {
-  const std::vector<serve::ModelInfo> models = registry.Models();
-  std::fprintf(stderr, "registry: %lld model(s)\n",
-               static_cast<long long>(models.size()));
-  for (const serve::ModelInfo& m : models) {
-    std::fprintf(
-        stderr,
-        "registry:   %s (%s): [%lld,%lld]->[%lld,%lld]%s "
-        "reloads=%lld failures=%lld submitted=%lld completed=%lld "
-        "rejected=%lld expired=%lld p50=%.3fms p99=%.3fms\n",
-        m.name.c_str(), m.path.c_str(), static_cast<long long>(m.input_len),
-        static_cast<long long>(m.channels), static_cast<long long>(m.pred_len),
-        static_cast<long long>(m.channels), m.quantized ? " int8" : "",
-        static_cast<long long>(m.reloads),
-        static_cast<long long>(m.reload_failures),
-        static_cast<long long>(m.batcher.submitted),
-        static_cast<long long>(m.batcher.completed),
-        static_cast<long long>(m.batcher.rejected_full),
-        static_cast<long long>(m.batcher.expired),
-        m.batcher.p50_latency_seconds * 1e3,
-        m.batcher.p99_latency_seconds * 1e3);
-    std::fprintf(
-        stderr,
-        "registry:   %s: breaker=%s trips=%lld shed=%lld nonfinite=%lld "
-        "queue=%lld est_batch=%.3fms\n",
-        m.name.c_str(), serve::BreakerStateName(m.batcher.breaker.state),
-        static_cast<long long>(m.batcher.breaker.trips),
-        static_cast<long long>(m.batcher.shed_overload),
-        static_cast<long long>(m.batcher.nonfinite_answers),
-        static_cast<long long>(m.batcher.queue_depth),
-        m.batcher.cost_ewma_seconds * 1e3);
-    if (!m.last_error.empty()) {
-      std::fprintf(stderr, "registry:   %s: last reload error: %s\n",
-                   m.name.c_str(), m.last_error.c_str());
-    }
-  }
-}
-
-// One "!health" answer line per model: machine-parseable key=value pairs
-// (scripts/check_chaos.sh greps them). Add keys freely; dropping or
-// renaming one breaks scripted clients, so record it in CHANGES.md.
-std::string FormatHealthLines(const serve::ModelRegistry& registry) {
-  std::string out;
-  char buf[512];
+// Every model's FormatModelStats line behind `prefix`, one per line. The
+// registry of `serve` always holds a model, so this is never empty.
+std::string ModelStatsLines(const serve::ModelRegistry& registry,
+                            const char* prefix) {
+  std::string lines;
   for (const serve::ModelInfo& m : registry.Models()) {
-    std::snprintf(
-        buf, sizeof(buf),
-        "health model=%s breaker=%s trips=%lld probes=%lld "
-        "breaker_rejected=%lld queue=%lld est_batch_ms=%.3f shed=%lld "
-        "expired=%lld nonfinite=%lld executed_past_deadline=%lld "
-        "retry_after_ms=%lld reloads=%lld reload_failures=%lld",
-        m.name.c_str(), serve::BreakerStateName(m.batcher.breaker.state),
-        static_cast<long long>(m.batcher.breaker.trips),
-        static_cast<long long>(m.batcher.breaker.probes),
-        static_cast<long long>(m.batcher.breaker.rejected),
-        static_cast<long long>(m.batcher.queue_depth),
-        m.batcher.cost_ewma_seconds * 1e3,
-        static_cast<long long>(m.batcher.shed_overload),
-        static_cast<long long>(m.batcher.expired),
-        static_cast<long long>(m.batcher.nonfinite_answers),
-        static_cast<long long>(m.batcher.executed_past_deadline),
-        static_cast<long long>(m.batcher.breaker.retry_after.count()),
-        static_cast<long long>(m.reloads),
-        static_cast<long long>(m.reload_failures));
-    if (!out.empty()) out += "\n";
-    out += buf;
+    if (!lines.empty()) lines += '\n';
+    lines += prefix;
+    lines += ' ';
+    lines += serve::FormatModelStats(m);
   }
-  if (out.empty()) out = "health (no models loaded)";
-  return out;
+  return lines;
+}
+
+void PrintModelStats(const serve::ModelRegistry& registry,
+                     const char* prefix) {
+  std::fprintf(stderr, "%s\n", ModelStatsLines(registry, prefix).c_str());
 }
 
 }  // namespace
@@ -767,8 +684,10 @@ std::string FormatHealthLines(const serve::ModelRegistry& registry) {
 // stream in input order as each head-of-line request completes (a
 // dedicated writer thread), so interactive clients get responses without
 // waiting for EOF; requests still coalesce through each model's
-// micro-batcher. A "!stats" line or SIGHUP dumps registry status to
-// stderr; a per-model summary goes to stderr on exit.
+// micro-batcher. Every model's stats line (serve::FormatModelStats) goes
+// to stderr as "stats ..." once the models are loaded, on a "!stats"
+// line and on SIGHUP, and as "exit ..." at shutdown; a "!health" line
+// answers on stdout with one "health ..." line per model.
 int CmdServe(const CliArgs& args) {
   // --load is repeatable: name=FILE routes by name, bare FILE serves as
   // "default".
@@ -867,9 +786,9 @@ int CmdServe(const CliArgs& args) {
         static_cast<long long>(session->channels()),
         multi ? ("'" + name + "|' then ").c_str() : "",
         static_cast<long long>(session->input_len() * session->channels()));
-    PrintPlanBanner(session->PlanForBatch(1)->stats());
     session->SetPlanProfiling(true);
   }
+  PrintModelStats(registry, "stats");
 
   std::ifstream file;
   std::istream* in = &std::cin;
@@ -886,7 +805,7 @@ int CmdServe(const CliArgs& args) {
   // Graceful shutdown: the first SIGINT/SIGTERM stops the accept loop
   // below; everything already submitted still drains through the batcher
   // and is answered before exit (a second signal kills the process).
-  // SIGHUP requests a registry status dump instead. SIGPIPE must not
+  // SIGHUP requests the stats lines instead. SIGPIPE must not
   // kill the server from inside the writer thread when a client closes
   // the answer stream mid-flight; the EPIPE surfaces on fflush instead
   // and maps to a clean drain below.
@@ -976,7 +895,7 @@ int CmdServe(const CliArgs& args) {
       stats_cv.wait_for(lock, std::chrono::milliseconds(100),
                         [&] { return stats_stop; });
       if (stats_stop) return;
-      if (ConsumeStatsRequest()) PrintRegistryStatus(registry);
+      if (ConsumeStatsRequest()) PrintModelStats(registry, "stats");
     }
   });
 
@@ -984,14 +903,14 @@ int CmdServe(const CliArgs& args) {
   while (!InterruptRequested() && std::getline(*in, line)) {
     if (line.empty()) continue;
     if (line == "!stats") {
-      PrintRegistryStatus(registry);
+      PrintModelStats(registry, "stats");
       continue;
     }
     if (line == "!health") {
       // Health rides the answer queue so it lands in stream order: a
       // scripted client sees it after the answers to everything it
       // already sent.
-      emit_error(FormatHealthLines(registry));
+      emit_error(ModelStatsLines(registry, "health"));
       continue;
     }
     std::string model_name;
@@ -1058,33 +977,7 @@ int CmdServe(const CliArgs& args) {
   stats_poller.join();
 
   registry.Shutdown();
-  for (const serve::ModelInfo& m : registry.Models()) {
-    std::fprintf(
-        stderr,
-        "model '%s': served %lld requests in %lld batches (p50 %.3f ms, "
-        "p99 %.3f ms, p99.9 %.3f ms, %lld rejected, %lld expired, "
-        "%lld shed, %lld nonfinite, %lld breaker trip(s), "
-        "%lld reload(s), %lld failed reload(s))\n",
-        m.name.c_str(), static_cast<long long>(m.batcher.completed),
-        static_cast<long long>(m.batcher.batches),
-        m.batcher.p50_latency_seconds * 1e3,
-        m.batcher.p99_latency_seconds * 1e3,
-        m.batcher.p999_latency_seconds * 1e3,
-        static_cast<long long>(m.batcher.rejected_full),
-        static_cast<long long>(m.batcher.expired),
-        static_cast<long long>(m.batcher.shed_overload),
-        static_cast<long long>(m.batcher.nonfinite_answers),
-        static_cast<long long>(m.batcher.breaker.trips),
-        static_cast<long long>(m.reloads),
-        static_cast<long long>(m.reload_failures));
-  }
-  for (const auto& [name, path] : loads) {
-    (void)path;
-    std::shared_ptr<serve::ServingModel> model = registry.Find(name);
-    if (model != nullptr) {
-      PrintPlanSummary(name, *model->session()->PlanForBatch(1));
-    }
-  }
+  PrintModelStats(registry, "exit");
   return 0;
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <utility>
 
 namespace lipformer {
@@ -33,13 +34,39 @@ bool RowAllFinite(const float* row, int64_t n) {
 }
 }  // namespace
 
+double SortedPercentile(const std::vector<double>& sorted, double p) {
+  if (sorted.empty()) {
+    return std::numeric_limits<double>::quiet_NaN();
+  }
+  const double rank =
+      (p / 100.0) * static_cast<double>(sorted.size() - 1);
+  const size_t lo = static_cast<size_t>(rank);
+  const size_t hi = std::min(lo + 1, sorted.size() - 1);
+  const double frac = rank - static_cast<double>(lo);
+  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+}
+
+LatencyRecorder::LatencyRecorder(int64_t capacity) : capacity_(capacity) {
+  LIPF_CHECK_GT(capacity, 0);
+  samples_.reserve(static_cast<size_t>(capacity));
+}
+
+void LatencyRecorder::Record(double seconds) {
+  if (static_cast<int64_t>(samples_.size()) < capacity_) {
+    samples_.push_back(seconds);
+  } else {
+    samples_[static_cast<size_t>(next_)] = seconds;
+  }
+  next_ = (next_ + 1) % capacity_;
+}
+
 Batcher::Batcher(InferenceSession* session, BatcherOptions options)
     : session_(session), options_(options), breaker_(options.breaker) {
   LIPF_CHECK(session != nullptr);
   LIPF_CHECK_GT(options_.max_batch_size, 0);
   LIPF_CHECK_GT(options_.queue_capacity, 0);
-  cost_ewma_ = std::max(0.0, options_.cost_hint_seconds);
-  batch_size_histogram_.assign(
+  stats_.cost_ewma_seconds = std::max(0.0, options_.cost_hint_seconds);
+  stats_.batch_size_histogram.assign(
       static_cast<size_t>(options_.max_batch_size), 0);
   worker_ = std::thread([this] { WorkerLoop(); });
 }
@@ -91,7 +118,7 @@ std::future<Result<Tensor>> Batcher::Submit(
       // Dead on arrival (or expired while blocked below): never enqueue
       // work the worker could only discard.
       if (request.has_deadline && now >= request.deadline) {
-        ++expired_;
+        ++stats_.expired;
         dead_on_arrival = true;
         break;
       }
@@ -107,7 +134,7 @@ std::future<Result<Tensor>> Batcher::Submit(
       }
       if (static_cast<int64_t>(queue_.size()) >= options_.queue_capacity) {
         if (mode == SubmitMode::kReject) {
-          ++rejected_full_;
+          ++stats_.rejected_full;
           break;
         }
         // kBlock: flow control. Wait for the worker to pop requests (or
@@ -139,14 +166,15 @@ std::future<Result<Tensor>> Batcher::Submit(
       // EWMA admission: shed when the estimated drain of the current
       // backlog (plus this request's own batch) cannot meet the deadline,
       // or exceeds the configured queue-delay cap. Probes bypass this —
-      // they exist to reach the model. With no estimate yet (cost_ewma_
-      // == 0) deadline policing falls back to expiry sweeps.
-      if (!request.probe && cost_ewma_ > 0) {
+      // they exist to reach the model. With no estimate yet (a cost EWMA
+      // of 0) deadline policing falls back to expiry sweeps.
+      const double cost = stats_.cost_ewma_seconds;
+      if (!request.probe && cost > 0) {
         const int64_t live = LiveQueueCountLocked(now);
         const int64_t batches_ahead =
             (live + options_.max_batch_size - 1) / options_.max_batch_size;
-        const double wait_estimate = batches_ahead * cost_ewma_;
-        const double total_estimate = wait_estimate + cost_ewma_;
+        const double wait_estimate = batches_ahead * cost;
+        const double total_estimate = wait_estimate + cost;
         const bool misses_deadline =
             request.has_deadline &&
             now + std::chrono::duration_cast<Clock::duration>(
@@ -156,13 +184,13 @@ std::future<Result<Tensor>> Batcher::Submit(
             options_.max_queue_delay.count() > 0 &&
             wait_estimate > Seconds(options_.max_queue_delay);
         if (misses_deadline || over_delay_cap) {
-          ++shed_overload_;
+          ++stats_.shed_overload;
           overloaded = true;
           retry_after_ms = CeilToMs(wait_estimate);
           break;
         }
       }
-      ++submitted_;
+      ++stats_.submitted;
       queue_.push_back(std::move(request));
       accepted = true;
       break;
@@ -226,7 +254,7 @@ std::vector<Batcher::Request> Batcher::SweepExpiredLocked(
       ++it;
     }
   }
-  expired_ += static_cast<int64_t>(swept.size());
+  stats_.expired += static_cast<int64_t>(swept.size());
   return swept;
 }
 
@@ -264,7 +292,7 @@ void Batcher::RunOneBatch(std::unique_lock<std::mutex>* lock) {
     Request request = std::move(queue_.front());
     queue_.pop_front();
     if (request.has_deadline && now >= request.deadline) {
-      ++expired_;
+      ++stats_.expired;
       if (request.probe) breaker_.AbandonProbe();
       expired.push_back(std::move(request));
     } else {
@@ -320,7 +348,7 @@ void Batcher::RunOneBatch(std::unique_lock<std::mutex>* lock) {
   if (!late.empty()) {
     batch.erase(batch.begin() + kept, batch.end());
     lock->lock();
-    expired_ += static_cast<int64_t>(late.size());
+    stats_.expired += static_cast<int64_t>(late.size());
     for (const Request& request : late) {
       if (request.probe) breaker_.AbandonProbe();
     }
@@ -375,14 +403,14 @@ void Batcher::RunOneBatch(std::unique_lock<std::mutex>* lock) {
   // resolved must find itself counted in Stats(). (Latency is measured to
   // batch completion, not to promise delivery.)
   lock->lock();
-  ++batches_;
-  ++batch_size_histogram_[static_cast<size_t>(k) - 1];
-  completed_ += k;
-  nonfinite_answers_ += nonfinite;
-  executed_past_deadline_ += past_deadline;
-  cost_ewma_ = cost_ewma_ <= 0
-                   ? batch_seconds
-                   : (1.0 - kCostAlpha) * cost_ewma_ + kCostAlpha * batch_seconds;
+  ++stats_.batches;
+  ++stats_.batch_size_histogram[static_cast<size_t>(k) - 1];
+  stats_.completed += k;
+  stats_.nonfinite_answers += nonfinite;
+  stats_.executed_past_deadline += past_deadline;
+  double& cost = stats_.cost_ewma_seconds;
+  cost = cost <= 0 ? batch_seconds
+                   : (1.0 - kCostAlpha) * cost + kCostAlpha * batch_seconds;
   for (int64_t i = 0; i < k; ++i) {
     const Request& request = batch[static_cast<size_t>(i)];
     latency_.Record(Seconds(done - request.submitted_at));
@@ -419,18 +447,9 @@ BatcherStats Batcher::Stats() const {
   {
     std::lock_guard<std::mutex> lock(mu_);
     const auto now = Clock::now();
-    stats.submitted = submitted_;
-    stats.rejected_full = rejected_full_;
-    stats.expired = expired_;
-    stats.shed_overload = shed_overload_;
-    stats.completed = completed_;
-    stats.nonfinite_answers = nonfinite_answers_;
-    stats.executed_past_deadline = executed_past_deadline_;
-    stats.batches = batches_;
+    stats = stats_;
     stats.queue_depth = LiveQueueCountLocked(now);
-    stats.cost_ewma_seconds = cost_ewma_;
     stats.breaker = breaker_.Stats(now);
-    stats.batch_size_histogram = batch_size_histogram_;
     latencies = latency_.samples();
   }
   // Sort outside mu_: a full ring holds 65,536 samples, and Submit and

@@ -9,7 +9,6 @@
 #include <thread>
 #include <vector>
 
-#include "bench_util/profiler.h"
 #include "serve/breaker.h"
 #include "serve/session.h"
 
@@ -71,6 +70,29 @@ struct BatcherOptions {
 enum class SubmitMode {
   kReject,  // fail fast with Unavailable (server-side backpressure)
   kBlock,   // wait for a slot; only Shutdown turns this into Unavailable
+};
+
+// Linear-interpolated percentile (p in [0, 100]) of samples sorted in
+// ascending order; NaN when empty.
+double SortedPercentile(const std::vector<double>& sorted, double p);
+
+// Bounded sample reservoir behind the batcher's p50/p99/p99.9 latency.
+// Keeps the most recent `capacity` samples in a ring. Not thread-safe:
+// the owner guards it. Percentiles come from a sorted copy of samples()
+// through SortedPercentile, so an owner that records under a lock copies
+// under it and sorts after releasing it.
+class LatencyRecorder {
+ public:
+  explicit LatencyRecorder(int64_t capacity = 1 << 16);
+
+  void Record(double seconds);
+  // The retained samples, in ring order (not sorted, not by age).
+  const std::vector<double>& samples() const { return samples_; }
+
+ private:
+  std::vector<double> samples_;  // ring buffer, size <= capacity
+  int64_t capacity_;
+  int64_t next_ = 0;  // ring write cursor
 };
 
 struct BatcherStats {
@@ -150,7 +172,7 @@ class Batcher {
   // that can actually occupy batch slots. Requires mu_ held.
   int64_t LiveQueueCountLocked(std::chrono::steady_clock::time_point now)
       const;
-  // Removes expired requests from the queue and bumps expired_; requires
+  // Removes expired requests from the queue and counts them; requires
   // mu_ held. The caller must fail the returned promises with
   // DeadlineExceeded after releasing mu_.
   std::vector<Request> SweepExpiredLocked(
@@ -167,19 +189,12 @@ class Batcher {
   std::deque<Request> queue_;
   bool shutdown_ = false;
 
-  // Stats, guarded by mu_.
-  int64_t submitted_ = 0;
-  int64_t rejected_full_ = 0;
-  int64_t expired_ = 0;
-  int64_t shed_overload_ = 0;
-  int64_t completed_ = 0;
-  int64_t nonfinite_answers_ = 0;
-  int64_t executed_past_deadline_ = 0;
-  int64_t batches_ = 0;
-  // EWMA of executed batch duration (seconds); 0 = no estimate yet.
-  double cost_ewma_ = 0;
+  // Counters, guarded by mu_. Stats() copies them and fills the fields
+  // kept elsewhere: queue_depth, breaker and the latency percentiles.
+  // stats_.cost_ewma_seconds is also the admission estimate (0 = none
+  // yet).
+  BatcherStats stats_;
   CircuitBreaker breaker_;
-  std::vector<int64_t> batch_size_histogram_;
   LatencyRecorder latency_;
 
   std::mutex join_mu_;  // serializes concurrent Shutdown joins

@@ -19,15 +19,15 @@ const char* BreakerStateName(BreakerState state) {
 
 CircuitBreaker::Admission CircuitBreaker::Admit(Clock::time_point now) {
   if (!enabled()) return Admission::kAdmit;
-  switch (state_) {
+  switch (stats_.state) {
     case BreakerState::kClosed:
       return Admission::kAdmit;
     case BreakerState::kOpen:
       if (now < open_until_) {
-        ++rejected_;
+        ++stats_.rejected;
         return Admission::kReject;
       }
-      state_ = BreakerState::kHalfOpen;
+      stats_.state = BreakerState::kHalfOpen;
       probes_in_flight_ = 0;
       probe_successes_ = 0;
       [[fallthrough]];
@@ -35,11 +35,11 @@ CircuitBreaker::Admission CircuitBreaker::Admit(Clock::time_point now) {
       // One probe in flight at a time: a broken model must see a trickle,
       // not a thundering herd, while it proves itself.
       if (probes_in_flight_ >= 1) {
-        ++rejected_;
+        ++stats_.rejected;
         return Admission::kReject;
       }
       ++probes_in_flight_;
-      ++probes_;
+      ++stats_.probes;
       return Admission::kAdmitProbe;
   }
   return Admission::kAdmit;
@@ -47,11 +47,11 @@ CircuitBreaker::Admission CircuitBreaker::Admit(Clock::time_point now) {
 
 void CircuitBreaker::OnSuccess(bool probe) {
   if (!enabled()) return;
-  consecutive_failures_ = 0;
-  if (probe && state_ == BreakerState::kHalfOpen) {
+  stats_.consecutive_failures = 0;
+  if (probe && stats_.state == BreakerState::kHalfOpen) {
     probes_in_flight_ = std::max<int64_t>(0, probes_in_flight_ - 1);
     if (++probe_successes_ >= options_.half_open_successes) {
-      state_ = BreakerState::kClosed;
+      stats_.state = BreakerState::kClosed;
       probe_successes_ = 0;
     }
   }
@@ -59,8 +59,8 @@ void CircuitBreaker::OnSuccess(bool probe) {
 
 void CircuitBreaker::OnFailure(bool probe, Clock::time_point now) {
   if (!enabled()) return;
-  ++consecutive_failures_;
-  if (probe && state_ == BreakerState::kHalfOpen) {
+  ++stats_.consecutive_failures;
+  if (probe && stats_.state == BreakerState::kHalfOpen) {
     // The model is still broken: re-open for another cooldown.
     probes_in_flight_ = 0;
     probe_successes_ = 0;
@@ -70,8 +70,8 @@ void CircuitBreaker::OnFailure(bool probe, Clock::time_point now) {
   // Results from requests admitted before a trip keep arriving while the
   // breaker is open/half-open; they only feed the failure counter. Only a
   // CLOSED breaker trips on the threshold.
-  if (state_ == BreakerState::kClosed &&
-      consecutive_failures_ >= options_.failure_threshold) {
+  if (stats_.state == BreakerState::kClosed &&
+      stats_.consecutive_failures >= options_.failure_threshold) {
     TripLocked(now);
   }
 }
@@ -82,19 +82,14 @@ void CircuitBreaker::AbandonProbe() {
 }
 
 void CircuitBreaker::TripLocked(Clock::time_point now) {
-  state_ = BreakerState::kOpen;
+  stats_.state = BreakerState::kOpen;
   open_until_ = now + options_.cooldown;
-  ++trips_;
+  ++stats_.trips;
 }
 
 BreakerStats CircuitBreaker::Stats(Clock::time_point now) const {
-  BreakerStats s;
-  s.state = state_;
-  s.trips = trips_;
-  s.probes = probes_;
-  s.rejected = rejected_;
-  s.consecutive_failures = consecutive_failures_;
-  if (enabled() && state_ == BreakerState::kOpen && open_until_ > now) {
+  BreakerStats s = stats_;
+  if (enabled() && s.state == BreakerState::kOpen && open_until_ > now) {
     s.retry_after = std::chrono::duration_cast<std::chrono::milliseconds>(
         open_until_ - now);
   }

@@ -83,21 +83,18 @@ class CircuitBreaker {
   void AbandonProbe();
 
   BreakerStats Stats(Clock::time_point now) const;
-  BreakerState state() const { return state_; }
+  BreakerState state() const { return stats_.state; }
   bool enabled() const { return options_.failure_threshold > 0; }
 
  private:
   void TripLocked(Clock::time_point now);
 
   BreakerOptions options_;
-  BreakerState state_ = BreakerState::kClosed;
+  // State and counters; Stats(now) copies them and fills retry_after.
+  BreakerStats stats_;
   Clock::time_point open_until_{};
-  int64_t consecutive_failures_ = 0;
   int64_t probes_in_flight_ = 0;
   int64_t probe_successes_ = 0;
-  int64_t trips_ = 0;
-  int64_t probes_ = 0;
-  int64_t rejected_ = 0;
 };
 
 }  // namespace serve

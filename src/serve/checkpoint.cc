@@ -3,7 +3,9 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <limits>
+#include <sstream>
 #include <utility>
 
 #include "common/atomic_file.h"
@@ -26,11 +28,10 @@ constexpr uint32_t kMaxEntries = 1 << 24;
 // Bounded reader over the checkpoint stream: every primitive read reports
 // truncation as a Status instead of leaving the stream in a failed state
 // the caller forgets to test. `left` is the byte count between the read
-// position and the end of the file, or -1 when the stream cannot seek (a
-// pipe) and the reads alone find a truncation.
+// position and the end of the file.
 class Reader {
  public:
-  Reader(std::ifstream* in, const std::string& path, int64_t left)
+  Reader(std::istream* in, const std::string& path, int64_t left)
       : in_(in), path_(path), left_(left) {}
 
   int64_t left() const { return left_; }
@@ -41,7 +42,7 @@ class Reader {
       return Status::InvalidArgument("truncated checkpoint " + path_ +
                                      ": unexpected EOF in " + what);
     }
-    if (left_ >= 0) left_ -= static_cast<int64_t>(n);
+    left_ -= static_cast<int64_t>(n);
     return Status::OK();
   }
 
@@ -64,7 +65,7 @@ class Reader {
   }
 
  private:
-  std::ifstream* in_;
+  std::istream* in_;
   const std::string& path_;
   int64_t left_;
 };
@@ -138,9 +139,21 @@ Status WriteCheckpoint(const std::string& path, const Checkpoint& ckpt) {
 }
 
 Result<Checkpoint> ReadCheckpoint(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open for read: " + path);
-  const int64_t file_bytes = StreamSize(in);
+  std::ifstream file(path, std::ios::binary);
+  if (!file) return Status::IOError("cannot open for read: " + path);
+  std::istream* stream = &file;
+  int64_t file_bytes = StreamSize(file);
+  // A pipe has no size to hold each tensor's byte length against, so its
+  // bytes are read into memory first: memory grows only with the bytes
+  // that arrived, and the checks below see the stream's true size.
+  std::istringstream piped;
+  if (file_bytes < 0) {
+    std::string bytes(std::istreambuf_iterator<char>(file), {});
+    file_bytes = static_cast<int64_t>(bytes.size());
+    piped.str(std::move(bytes));
+    stream = &piped;
+  }
+  std::istream& in = *stream;
 
   char magic[sizeof(kMagic)] = {};
   in.read(magic, sizeof(magic));
@@ -157,10 +170,7 @@ Result<Checkpoint> ReadCheckpoint(const std::string& path) {
         " --out=... --model=... <architecture flags>`.");
   }
 
-  Reader reader(&in, path,
-                file_bytes < 0 ? -1
-                               : file_bytes -
-                                     static_cast<int64_t>(header_bytes));
+  Reader reader(&in, path, file_bytes - static_cast<int64_t>(header_bytes));
   uint32_t version = 0;
   LIPF_RETURN_IF_ERROR(reader.ReadScalar(&version, "version"));
   if (version != kVersion) {
@@ -229,8 +239,7 @@ Result<Checkpoint> ReadCheckpoint(const std::string& path) {
           "' byte length " + std::to_string(byte_len) +
           " does not match shape " + ShapeToString(shape));
     }
-    if (reader.left() >= 0 &&
-        byte_len > static_cast<uint64_t>(reader.left())) {
+    if (byte_len > static_cast<uint64_t>(reader.left())) {
       return Status::InvalidArgument(
           "truncated checkpoint " + path + ": tensor '" + entry.name +
           "' needs " + std::to_string(byte_len) + " bytes, the file has " +

@@ -5,6 +5,8 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <iomanip>
+#include <sstream>
 #include <utility>
 
 #include "common/fault_injection.h"
@@ -261,10 +263,56 @@ std::vector<ModelInfo> ModelRegistry::Models() const {
       info.channels = session->channels();
       info.quantized = session->quantized();
       info.batcher = entry.model->batcher()->Stats();
+      const std::shared_ptr<const InferencePlan> plan =
+          session->PlanForBatch(1);
+      info.plan = plan->stats();
+      info.op_timings = plan->OpTimings();
     }
     infos.push_back(std::move(info));
   }
   return infos;
+}
+
+std::string FormatModelStats(const ModelInfo& info) {
+  const BatcherStats& b = info.batcher;
+  const BreakerStats& breaker = b.breaker;
+  const PlanStats& plan = info.plan;
+  std::ostringstream line;
+  line << std::fixed << std::setprecision(3);
+  line << "model=" << info.name
+       << " breaker=" << BreakerStateName(breaker.state)
+       << " trips=" << breaker.trips << " probes=" << breaker.probes
+       << " breaker_rejected=" << breaker.rejected
+       << " queue=" << b.queue_depth
+       << " est_batch_ms=" << b.cost_ewma_seconds * 1e3
+       << " shed=" << b.shed_overload << " expired=" << b.expired
+       << " nonfinite=" << b.nonfinite_answers
+       << " executed_past_deadline=" << b.executed_past_deadline
+       << " retry_after_ms=" << breaker.retry_after.count()
+       << " reloads=" << info.reloads
+       << " reload_failures=" << info.reload_failures;
+  line << " path=" << std::quoted(info.path)
+       << " input_len=" << info.input_len << " pred_len=" << info.pred_len
+       << " channels=" << info.channels
+       << " int8=" << (info.quantized ? 1 : 0)
+       << " submitted=" << b.submitted << " completed=" << b.completed
+       << " rejected=" << b.rejected_full << " batches=" << b.batches
+       << " p50_ms=" << b.p50_latency_seconds * 1e3
+       << " p99_ms=" << b.p99_latency_seconds * 1e3
+       << " p999_ms=" << b.p999_latency_seconds * 1e3;
+  line << " plan_ops=" << plan.num_ops << " arena_bytes=" << plan.arena_bytes
+       << " constants=" << plan.num_constants
+       << " prepacked_gemms=" << plan.prepacked_gemms
+       << " fused_transposes=" << plan.fused_gemm_operands
+       << " fused_epilogues=" << plan.fused_epilogues
+       << " passes_eliminated=" << plan.passes_eliminated
+       << " macs=" << plan.macs;
+  for (const PlanOpTiming& t : info.op_timings) {
+    line << " op." << t.name << ".calls=" << t.calls << " op." << t.name
+         << ".total_ms=" << static_cast<double>(t.total_ns) * 1e-6;
+  }
+  line << " last_error=" << std::quoted(info.last_error);
+  return line.str();
 }
 
 std::future<Result<Tensor>> ModelRegistry::Submit(

@@ -77,7 +77,8 @@ class ServingModel {
   std::unique_ptr<Batcher> batcher_;
 };
 
-// Snapshot of one tenant for status reporting ("!stats" / SIGHUP).
+// Snapshot of one tenant: everything `serve` reports about a model, on
+// "!health", "!stats", SIGHUP, startup and exit (FormatModelStats).
 struct ModelInfo {
   std::string name;
   std::string path;
@@ -89,7 +90,23 @@ struct ModelInfo {
   int64_t reload_failures = 0;  // rejected reload attempts
   std::string last_error;       // from the most recent failed reload
   BatcherStats batcher;
+  PlanStats plan;               // the serving plan's compile-time facts
+  // Per-op-kind time of the serving plan; empty unless profiling is on.
+  std::vector<PlanOpTiming> op_timings;
 };
+
+// Renders `info` as one line of space-separated key=value pairs. The
+// first keys are the ones scripted clients parse from "!health", in this
+// order: model breaker trips probes breaker_rejected queue est_batch_ms
+// shed expired nonfinite executed_past_deadline retry_after_ms reloads
+// reload_failures. Then come the model's shape and request counters
+// (path ... p999_ms), the plan (plan_ops ... macs), op.<kind>.calls and
+// op.<kind>.total_ms for every op kind that has run while profiling, and
+// last, last_error. Every time key names its unit. The two values that
+// may hold spaces, path and last_error, are double-quoted with '"' and
+// '\' escaped (std::quoted). Dropping or renaming a key breaks scripted
+// clients, so record it in CHANGES.md.
+std::string FormatModelStats(const ModelInfo& info);
 
 class ModelRegistry {
  public:

@@ -1,11 +1,19 @@
 #include "cli/cli.h"
 
+#include <algorithm>
+#include <fstream>
+#include <memory>
+#include <sstream>
+
 #include <gtest/gtest.h>
 
 #include "common/parse.h"
 #include "common/thread_pool.h"
 #include "data/csv.h"
 #include "data/synthetic.h"
+#include "models/factory.h"
+#include "serve/session.h"
+#include "tests/test_util.h"
 
 namespace lipformer {
 namespace cli {
@@ -352,6 +360,88 @@ TEST(CliServeProtocolTest, ParseErrorOnWrongCountAlone) {
   EXPECT_NE(error.find("got 2"), std::string::npos);
   // All fields numeric: no offending token to name.
   EXPECT_EQ(error.find("field"), std::string::npos);
+}
+
+// ---- serve's stats lines ----
+
+// The lines of `text` that start with `prefix` and a space, without them.
+std::vector<std::string> LinesAfter(const std::string& text,
+                                    const std::string& prefix) {
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind(prefix + " ", 0) == 0) {
+      lines.push_back(line.substr(prefix.size() + 1));
+    }
+  }
+  return lines;
+}
+
+// The keys of a stats line, without op.<kind>.*: those appear once a
+// kind has run, so lines printed at different moments differ in them.
+std::vector<std::string> KeysBesideOpTimes(const std::string& line) {
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : testing::ParseStatsLine(line)) {
+    if (key.rfind("op.", 0) != 0) keys.push_back(key);
+  }
+  return keys;
+}
+
+// "!health" on stdout, and "stats" (at startup and on "!stats") and
+// "exit" on stderr, all render the one snapshot. A 400-character model
+// name used to push the "!health" line past a 512-byte buffer, which cut
+// it mid-key and dropped the keys after it.
+TEST(CliServeTest, HealthStatsAndExitLinesCarryEveryKeyForALongName) {
+  const std::string bundle = ::testing::TempDir() + "/cli_serve.bundle";
+  ModelOptions options;
+  options.hidden_dim = 8;
+  options.num_heads = 2;
+  options.patch_len = 8;
+  std::unique_ptr<Forecaster> model =
+      CreateModel("lipformer", ForecasterDims{24, 6, 2}, options);
+  StandardScaler scaler;  // unfitted: serves in model units
+  ASSERT_TRUE(
+      serve::SaveModelBundle(bundle, "lipformer", options, *model, scaler)
+          .ok());
+  const std::string requests = ::testing::TempDir() + "/cli_serve.txt";
+  {
+    std::ofstream out(requests);
+    for (int i = 0; i < 24 * 2; ++i) out << (i > 0 ? "," : "") << 0.1 * i;
+    out << "\n!health\n!stats\n";
+  }
+  const std::string name(400, 'm');
+  std::vector<std::string> argv_strings = {
+      "prog", "serve", "--load=" + name + "=" + bundle,
+      "--requests=" + requests, "--reload-poll-ms=0"};
+  std::vector<char*> argv;
+  for (auto& s : argv_strings) argv.push_back(s.data());
+  ::testing::internal::CaptureStdout();
+  ::testing::internal::CaptureStderr();
+  const int rc = Main(static_cast<int>(argv.size()), argv.data());
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  const std::string out = ::testing::internal::GetCapturedStdout();
+  ASSERT_EQ(rc, 0) << err;
+
+  const std::vector<std::string> health = LinesAfter(out, "health");
+  const std::vector<std::string> stats = LinesAfter(err, "stats");
+  const std::vector<std::string> exit = LinesAfter(err, "exit");
+  ASSERT_EQ(health.size(), 1u) << out;
+  ASSERT_EQ(stats.size(), 2u) << err;
+  ASSERT_EQ(exit.size(), 1u) << err;
+  const std::vector<std::string> keys = KeysBesideOpTimes(exit[0]);
+  ASSERT_GE(keys.size(), testing::kHealthKeys.size()) << exit[0];
+  EXPECT_TRUE(std::equal(testing::kHealthKeys.begin(),
+                         testing::kHealthKeys.end(), keys.begin()))
+      << exit[0];
+  EXPECT_EQ(keys.back(), "last_error");
+  EXPECT_EQ(KeysBesideOpTimes(health[0]), keys) << health[0];
+  EXPECT_EQ(KeysBesideOpTimes(stats[0]), keys) << stats[0];
+  EXPECT_EQ(KeysBesideOpTimes(stats[1]), keys) << stats[1];
+  EXPECT_EQ(testing::ParseStatsLine(health[0]).front().second, name);
+  // By exit the one request has run through the profiled plan.
+  EXPECT_NE(exit[0].find(" completed=1 "), std::string::npos) << exit[0];
+  EXPECT_NE(exit[0].find(" op.gemm.calls="), std::string::npos) << exit[0];
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // Tests for the multi-tenant model registry (serve/registry.h): named
 // lookup and routing, manual + watcher-driven hot reload over atomic
-// renames, the failed-validation-keeps-serving contract, and — under
-// TSan via scripts/check_sanitize.sh — zero-downtime submits racing a
-// storm of hot swaps.
+// renames, the failed-validation-keeps-serving contract, the one stats
+// line (FormatModelStats), and — under TSan via
+// scripts/check_sanitize.sh — zero-downtime submits racing a storm of
+// hot swaps.
 
 #include <atomic>
 #include <chrono>
@@ -26,7 +27,9 @@ namespace lipformer {
 namespace {
 
 using testing::BitwiseEqual;
+using testing::ParseStatsLine;
 using testing::RandomTensor;
+using testing::StatsPairs;
 
 std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
@@ -326,6 +329,103 @@ TEST_F(ModelRegistryTest, ShutdownDrainsAndRejectsLateSubmits) {
   EXPECT_EQ(late.status().code(), StatusCode::kUnavailable);
   // Stats stay readable after shutdown (the CLI prints a final summary).
   EXPECT_EQ(registry.Models().size(), 1u);
+}
+
+// ---- The stats line ----
+
+// Every field of the snapshot holds a distinct value, so a key that
+// renders the wrong field, or sits in the wrong place, shows.
+TEST(ModelStatsLineTest, StartsWithTheHealthKeysAndCarriesEveryFact) {
+  serve::ModelInfo info;
+  info.name = "m1";
+  info.path = "/srv/models/m 1.bundle";
+  info.input_len = 336;
+  info.pred_len = 96;
+  info.channels = 21;
+  info.quantized = true;
+  info.reloads = 2;
+  info.reload_failures = 3;
+  info.last_error = "bad \"magic\" in file";
+  serve::BatcherStats& b = info.batcher;
+  b.submitted = 101;
+  b.rejected_full = 4;
+  b.expired = 5;
+  b.shed_overload = 6;
+  b.completed = 97;
+  b.nonfinite_answers = 7;
+  b.executed_past_deadline = 8;
+  b.batches = 40;
+  b.queue_depth = 9;
+  b.cost_ewma_seconds = 0.0125;
+  b.p50_latency_seconds = 0.0015;
+  b.p99_latency_seconds = 0.0105;
+  b.p999_latency_seconds = 0.0205;
+  b.breaker.state = serve::BreakerState::kHalfOpen;
+  b.breaker.trips = 10;
+  b.breaker.probes = 11;
+  b.breaker.rejected = 12;
+  b.breaker.retry_after = std::chrono::milliseconds(13);
+  serve::PlanStats& plan = info.plan;
+  plan.num_ops = 25;
+  plan.arena_bytes = 244608;
+  plan.num_constants = 30;
+  plan.prepacked_gemms = 14;
+  plan.fused_gemm_operands = 1;
+  plan.fused_epilogues = 15;
+  plan.passes_eliminated = 16;
+  plan.macs = 4014528;
+  info.op_timings = {{"gemm", 17, 1234567}, {"attention", 18, 2000}};
+
+  const StatsPairs expected = {
+      {"model", "m1"},
+      {"breaker", "half-open"},
+      {"trips", "10"},
+      {"probes", "11"},
+      {"breaker_rejected", "12"},
+      {"queue", "9"},
+      {"est_batch_ms", "12.500"},
+      {"shed", "6"},
+      {"expired", "5"},
+      {"nonfinite", "7"},
+      {"executed_past_deadline", "8"},
+      {"retry_after_ms", "13"},
+      {"reloads", "2"},
+      {"reload_failures", "3"},
+      {"path", "/srv/models/m 1.bundle"},
+      {"input_len", "336"},
+      {"pred_len", "96"},
+      {"channels", "21"},
+      {"int8", "1"},
+      {"submitted", "101"},
+      {"completed", "97"},
+      {"rejected", "4"},
+      {"batches", "40"},
+      {"p50_ms", "1.500"},
+      {"p99_ms", "10.500"},
+      {"p999_ms", "20.500"},
+      {"plan_ops", "25"},
+      {"arena_bytes", "244608"},
+      {"constants", "30"},
+      {"prepacked_gemms", "14"},
+      {"fused_transposes", "1"},
+      {"fused_epilogues", "15"},
+      {"passes_eliminated", "16"},
+      {"macs", "4014528"},
+      {"op.gemm.calls", "17"},
+      {"op.gemm.total_ms", "1.235"},
+      {"op.attention.calls", "18"},
+      {"op.attention.total_ms", "0.002"},
+      {"last_error", "bad \"magic\" in file"}};
+  const std::string line = serve::FormatModelStats(info);
+  EXPECT_EQ(ParseStatsLine(line), expected) << line;
+  EXPECT_EQ(line.find('\n'), std::string::npos);
+  // The contract keys are the ones "!health" has always printed.
+  for (size_t i = 0; i < testing::kHealthKeys.size(); ++i) {
+    EXPECT_EQ(expected[i].first, testing::kHealthKeys[i]);
+  }
+
+  const std::string fresh = serve::FormatModelStats(serve::ModelInfo());
+  EXPECT_EQ(fresh.substr(fresh.rfind(' ') + 1), "last_error=\"\"");
 }
 
 }  // namespace

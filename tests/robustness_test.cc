@@ -6,6 +6,8 @@
 // `crash_resume` ctest) — in-process tests cover everything that does not
 // require killing the test binary.
 
+#include <unistd.h>
+
 #include <cmath>
 #include <fstream>
 #include <string>
@@ -200,7 +202,8 @@ TEST_F(RobustnessTest, CheckpointTruncationSweepAlwaysFailsCleanly) {
 // A 45-byte file holding one rank-1 tensor header and no data. The
 // reader must reject each before it allocates: at dim 2^62 the byte size
 // wraps to 0 in 64 bits, at 2^62 + 1 to 4, and 2^36 floats claim 256 GiB
-// that the file does not hold.
+// that the file does not hold. Each is read by path and through a pipe,
+// which has no size to hold the byte length against.
 TEST_F(RobustnessTest, CraftedTensorHeadersReturnInvalidArgument) {
   struct Header {
     int64_t dim;
@@ -229,6 +232,19 @@ TEST_F(RobustnessTest, CraftedTensorHeadersReturnInvalidArgument) {
     ASSERT_FALSE(loaded.ok());
     EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
         << loaded.status().ToString();
+
+    int fds[2];
+    ASSERT_EQ(pipe(fds), 0);
+    // 45 bytes fit the pipe's buffer, so the write completes first.
+    ASSERT_EQ(write(fds[1], bytes.data(), bytes.size()),
+              static_cast<ssize_t>(bytes.size()));
+    close(fds[1]);
+    Result<serve::Checkpoint> piped =
+        serve::ReadCheckpoint("/dev/fd/" + std::to_string(fds[0]));
+    close(fds[0]);
+    ASSERT_FALSE(piped.ok());
+    EXPECT_EQ(piped.status().code(), StatusCode::kInvalidArgument)
+        << piped.status().ToString();
   }
 }
 

@@ -3,9 +3,11 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdint>
@@ -35,6 +37,8 @@
 namespace lipformer {
 namespace {
 
+using serve::LatencyRecorder;
+using serve::SortedPercentile;
 using testing::BitwiseEqual;
 using testing::RandomTensor;
 
@@ -716,6 +720,31 @@ TEST(QuantizedMseTest, TrainedModelStaysWithinTwoPercentOfFp32) {
 }
 
 // ---- Dynamic micro-batcher ----
+
+TEST(LatencyRecorderTest, ExactPercentilesOnKnownSamples) {
+  // 0..1000 in scrambled order (7919 is coprime to 1001), so percentile p
+  // sits exactly on sample 10 * p.
+  LatencyRecorder recorder(2048);
+  for (int i = 0; i <= 1000; ++i) recorder.Record((i * 7919) % 1001);
+  std::vector<double> sorted = recorder.samples();
+  ASSERT_EQ(sorted.size(), 1001u);
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_NEAR(SortedPercentile(sorted, 50.0), 500.0, 1e-9);
+  EXPECT_NEAR(SortedPercentile(sorted, 99.0), 990.0, 1e-9);
+  EXPECT_NEAR(SortedPercentile(sorted, 99.9), 999.0, 1e-9);
+  EXPECT_DOUBLE_EQ(SortedPercentile(sorted, 100.0), 1000.0);
+  // Between two samples the rank interpolates linearly.
+  EXPECT_DOUBLE_EQ(SortedPercentile({1.0, 2.0}, 50.0), 1.5);
+  EXPECT_TRUE(std::isnan(SortedPercentile({}, 50.0)));
+}
+
+TEST(LatencyRecorderTest, WrappedRingKeepsOnlyTheNewestSamples) {
+  LatencyRecorder recorder(4);
+  for (int i = 1; i <= 10; ++i) recorder.Record(i);
+  std::vector<double> kept = recorder.samples();
+  std::sort(kept.begin(), kept.end());
+  EXPECT_EQ(kept, (std::vector<double>{7, 8, 9, 10}));
+}
 
 // Pins the batcher's worker inside one stalled forward: arms an injected
 // `stall_ms` delay on the next forward, submits a window and waits until

@@ -4,6 +4,11 @@
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <iomanip>
+#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -70,6 +75,32 @@ class ThreadCountGuard {
 inline Tensor RandomTensor(Shape shape, uint64_t seed, float scale = 1.0f) {
   Rng rng(seed);
   return Tensor::Randn(std::move(shape), rng, scale);
+}
+
+// The keys scripted clients parse from "!health", in their order: every
+// serve::FormatModelStats line starts with them.
+inline const std::vector<std::string> kHealthKeys = {
+    "model", "breaker", "trips", "probes", "breaker_rejected", "queue",
+    "est_batch_ms", "shed", "expired", "nonfinite", "executed_past_deadline",
+    "retry_after_ms", "reloads", "reload_failures"};
+
+// The key=value pairs of one serve::FormatModelStats line, in order; a
+// double-quoted value comes back unescaped (std::quoted).
+using StatsPairs = std::vector<std::pair<std::string, std::string>>;
+inline StatsPairs ParseStatsLine(const std::string& line) {
+  StatsPairs pairs;
+  std::istringstream in(line);
+  std::string key;
+  while (in >> std::ws && std::getline(in, key, '=')) {
+    std::string value;
+    if (in.peek() == '"') {
+      in >> std::quoted(value);
+    } else {
+      in >> value;
+    }
+    pairs.emplace_back(std::move(key), std::move(value));
+  }
+  return pairs;
 }
 
 }  // namespace testing
